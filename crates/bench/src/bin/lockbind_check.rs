@@ -10,8 +10,9 @@
 //!   certify matching optimality (Thm. 2). Output is fully deterministic
 //!   (no wall times); `results/CHECK_baseline.txt` is the committed golden.
 //! * `checkpoint PATH` — validates a sweep checkpoint written by the
-//!   engine: header sanity, then every payload must decode under one of
-//!   the bench codecs.
+//!   engine: header sanity and schema, then every payload must decode as
+//!   the bench record its tag names. A torn trailing record (a killed
+//!   writer) is reported and skipped, as the engine's resume does.
 //!
 //! Exits 1 when any error-severity diagnostic (or malformed checkpoint
 //! record) is found, 2 on usage errors.
@@ -348,76 +349,107 @@ fn audit_kernels(frames: usize, seed: u64) -> ExitCode {
 }
 
 fn lint_checkpoint(path: &Path) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("lockbind-check: cannot read {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut lines = text.lines();
-    let Some(header) = lines.next() else {
-        eprintln!("lockbind-check: {} is empty", path.display());
-        return ExitCode::FAILURE;
-    };
-    let Some(fingerprint) = header_u64(header, "fingerprint") else {
-        eprintln!(
-            "lockbind-check: {} has no fingerprint header",
-            path.display()
-        );
-        return ExitCode::FAILURE;
-    };
-    let cells = header_u64(header, "cells").unwrap_or(0);
-    let root_seed = header_u64(header, "root_seed").unwrap_or(0);
-    println!(
-        "checkpoint {}: fingerprint {fingerprint:#018x}, root seed {root_seed}, {cells} cell(s) in grid",
-        path.display()
-    );
-
-    let entries = match lockbind_engine::checkpoint::load(path, fingerprint) {
-        Ok(entries) => entries,
+    let checkpoint = match lockbind_engine::checkpoint::read(path) {
+        Ok(checkpoint) => checkpoint,
         Err(e) => {
             eprintln!("lockbind-check: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let mut decoded = [0usize; 3]; // headline, error-record, overhead payloads
+    let header = checkpoint.header;
+    println!(
+        "checkpoint {}: fingerprint {:#018x}, root seed {}, {} cell(s) in grid",
+        path.display(),
+        header.fingerprint,
+        header.root_seed,
+        header.cells
+    );
+
+    let mut counts = [
+        ("error", 0usize),
+        ("overhead", 0),
+        ("impact", 0),
+        ("sat", 0),
+    ];
     let mut malformed = Vec::new();
-    for entry in &entries {
-        if codec::decode_headline_output(&entry.payload).is_some() {
-            decoded[0] += 1;
-        } else if codec::decode_error_records(&entry.payload).is_some() {
-            decoded[1] += 1;
-        } else if codec::decode_overhead_records(&entry.payload).is_some() {
-            decoded[2] += 1;
-        } else {
-            malformed.push(entry.cell);
+    for entry in &checkpoint.entries {
+        let kind = codec::payload_kind(&entry.payload);
+        match counts.iter_mut().find(|(k, _)| Some(*k) == kind) {
+            Some((_, n)) => *n += 1,
+            None => malformed.push(entry.cell),
         }
     }
+    let counts: Vec<String> = counts
+        .iter()
+        .map(|(kind, n)| format!("{n} {kind}"))
+        .collect();
     println!(
-        "{} completed record(s): {} headline, {} error-record, {} overhead, {} malformed",
-        entries.len(),
-        decoded[0],
-        decoded[1],
-        decoded[2],
+        "{} completed record(s): {}, {} malformed",
+        checkpoint.entries.len(),
+        counts.join(", "),
         malformed.len()
     );
     if !malformed.is_empty() {
         for cell in &malformed {
-            eprintln!("  cell {cell}: payload does not decode under any bench codec");
+            eprintln!("  cell {cell}: payload does not decode as a bench record");
         }
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }
 
-/// Extracts `"key":<u64>` from the single-line JSON checkpoint header.
-fn header_u64(line: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lockbind_bench::{ErrorRecord, SecurityAlgo};
+    use lockbind_engine::CHECKPOINT_SCHEMA;
+
+    fn checkpoint_file(name: &str, bytes: &[u8]) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("lockbind-check-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).expect("write");
+        path
+    }
+
+    fn header(schema: u64) -> String {
+        format!("{{\"schema\":{schema},\"fingerprint\":7,\"root_seed\":5,\"cells\":3}}\n")
+    }
+
+    fn error_line(cell: usize) -> String {
+        let record = ErrorRecord {
+            kernel: "fir".to_string(),
+            class: FuClass::Adder,
+            locked_fus: 1,
+            locked_inputs: 1,
+            algo: SecurityAlgo::ObfAware,
+            vs_area: 1.5,
+            vs_power: 2.25,
+            mean_errors: 0.1,
+            samples: 40,
+        };
+        let payload = codec::error_records_json(&[record]).render();
+        format!("{{\"cell\":{cell},\"label\":\"fir/{cell}\",\"payload\":{payload}}}\n")
+    }
+
+    #[test]
+    fn torn_multibyte_tail_is_skipped_not_fatal() {
+        let mut bytes = (header(CHECKPOINT_SCHEMA) + &error_line(0)).into_bytes();
+        let torn = "{\"cell\":1,\"label\":\"fir/é";
+        bytes.extend_from_slice(&torn.as_bytes()[..torn.len() - 1]);
+        let path = checkpoint_file("torn.jsonl", &bytes);
+        assert_eq!(lint_checkpoint(&path), ExitCode::SUCCESS);
+    }
+
+    #[test]
+    fn malformed_payloads_and_old_schemas_fail() {
+        let bad = header(CHECKPOINT_SCHEMA)
+            + &error_line(0)
+            + "{\"cell\":1,\"label\":\"fir/1\",\"payload\":{\"error\":[{\"kernel\":\"fir\"}]}}\n";
+        let path = checkpoint_file("malformed.jsonl", bad.as_bytes());
+        assert_eq!(lint_checkpoint(&path), ExitCode::FAILURE);
+        let old = header(1) + &error_line(0);
+        let path = checkpoint_file("schema1.jsonl", old.as_bytes());
+        assert_eq!(lint_checkpoint(&path), ExitCode::FAILURE);
+    }
 }

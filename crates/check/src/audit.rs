@@ -612,37 +612,6 @@ impl AuditSummary {
         }
         out
     }
-
-    /// Machine-readable JSON rendering.
-    pub fn render_json(&self) -> String {
-        let hist: Vec<String> = self.skew_histogram.iter().map(|c| c.to_string()).collect();
-        let codes: Vec<String> = self
-            .counts
-            .iter()
-            .map(|(c, n)| format!("\"{c}\":{n}"))
-            .collect();
-        format!(
-            "{{\"name\":\"{}\",\"nets\":{},\"inputs\":{},\"keys\":{},\"outputs\":{},\
-             \"inert_keys\":{},\"unprotected_outputs\":{},\"single_key_outputs\":{},\
-             \"removable_gates\":{},\"skew_histogram\":[{}],\"max_skew\":{:.6},\
-             \"cone_isolation\":{:.6},\"codes\":{{{}}},\"errors\":{},\"warnings\":{}}}",
-            self.name,
-            self.nets,
-            self.inputs,
-            self.keys,
-            self.outputs,
-            self.inert_keys,
-            self.unprotected_outputs,
-            self.single_key_outputs,
-            self.removable_gates,
-            hist.join(","),
-            self.max_skew,
-            self.cone_isolation,
-            codes.join(","),
-            self.errors,
-            self.warnings
-        )
-    }
 }
 
 /// Graphviz color for a finding, by code family.
@@ -747,9 +716,5 @@ mod tests {
         let human = summary.render_human();
         assert!(human.contains("inert keys: 1"), "{human}");
         assert!(human.contains("LB0701x1"), "{human}");
-        let json = summary.render_json();
-        assert!(json.contains("\"inert_keys\":1"), "{json}");
-        assert!(json.contains("\"LB0704\""), "{json}");
-        assert!(json.contains("\"errors\":1"), "{json}");
     }
 }

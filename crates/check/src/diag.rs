@@ -442,30 +442,6 @@ impl Report {
         out
     }
 
-    /// Machine-readable JSON rendering (an object with a `diagnostics`
-    /// array plus error/warning totals).
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\"diagnostics\":[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"code\":\"{}\",\"severity\":\"{}\",\"span\":\"{}\",\"message\":\"{}\"}}",
-                d.code,
-                d.severity,
-                escape_json(&d.span.to_string()),
-                escape_json(&d.message)
-            ));
-        }
-        out.push_str(&format!(
-            "],\"errors\":{},\"warnings\":{}}}",
-            self.error_count(),
-            self.warning_count()
-        ));
-        out
-    }
-
     /// The engine-facing failure string, or `None` if the run is clean.
     ///
     /// The format is stable: the [`crate::CHECK_FAILURE_PREFIX`] prefix
@@ -494,21 +470,6 @@ impl Report {
             parts.join("; ")
         ))
     }
-}
-
-fn escape_json(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -561,19 +522,6 @@ mod tests {
         assert!(msg.starts_with(crate::CHECK_FAILURE_PREFIX));
         assert!(msg.contains("[LB0304]"));
         assert!(msg.contains("(+2 more)"));
-    }
-
-    #[test]
-    fn json_rendering_escapes() {
-        let mut r = Report::new();
-        r.push(Diagnostic::new(
-            Code::WidthMismatch,
-            Span::Op(0),
-            "bad \"quote\"",
-        ));
-        let json = r.render_json();
-        assert!(json.contains("\\\"quote\\\""));
-        assert!(json.contains("\"errors\":1"));
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //! * [`check_artifact`] — runs the [`PASSES`] suite and returns a
 //!   [`Report`] of [`Diagnostic`]s with stable `LBxxxx` [`Code`]s,
 //!   severities, and artifact [`Span`]s,
-//! * [`Report::render_human`] / [`Report::render_json`] — renderers for
-//!   terminals and tooling,
+//! * [`Report::render_human`] — the terminal renderer,
 //! * [`Report::failure_message`] — the compact engine-facing summary
 //!   (prefixed with [`CHECK_FAILURE_PREFIX`]) that run metrics parse.
 //!

@@ -2,11 +2,13 @@
 //!
 //! The file starts with a header line binding the checkpoint to a specific
 //! grid — a [`fingerprint`] over the root seed, the cell count, and every
-//! cell label — followed by one line per completed cell carrying the
-//! job-encoded output payload. Appends are flushed per cell, so a run
-//! killed mid-sweep leaves a loadable prefix; resuming with a file whose
-//! fingerprint does not match the submitted grid is rejected (the caller
-//! falls back to a full run).
+//! cell label — followed by one line per completed cell,
+//! `{"cell":n,"label":"…","payload":<record JSON>}`, carrying the
+//! job-encoded output. Header and lines are read with the workspace's one
+//! JSON parser ([`lockbind_obs::json::parse`]). Appends are flushed per
+//! cell, so a run killed mid-sweep leaves a loadable prefix; resuming with
+//! a file whose schema or fingerprint does not match the submitted grid is
+//! rejected (the caller falls back to a full run).
 //!
 //! Only cells whose job implements [`crate::Job::encode_output`] are
 //! written; everything else simply re-runs on resume — correct (the engine
@@ -18,10 +20,13 @@ use std::path::Path;
 use std::sync::Mutex;
 
 use lockbind_obs as obs;
-use lockbind_obs::json::Json;
+use lockbind_obs::json::{self, Json};
 
-/// Checkpoint file schema version (the `"schema"` header field).
-pub const CHECKPOINT_SCHEMA: u64 = 1;
+/// Checkpoint file schema version (the `"schema"` header field). Schema 2
+/// stores each payload as record JSON; schema 1 stored it as
+/// separator-encoded text inside a JSON string. Files of any other schema
+/// are rejected like a fingerprint mismatch.
+pub const CHECKPOINT_SCHEMA: u64 = 2;
 
 /// Content fingerprint of a grid: FNV-1a over the root seed, the cell
 /// count, and every length-prefixed cell label. Two grids resume-compatible
@@ -45,26 +50,81 @@ pub fn fingerprint(root_seed: u64, labels: &[String]) -> u64 {
     hash
 }
 
+/// The header line of a checkpoint file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CheckpointHeader {
+    /// [`fingerprint`] of the grid that wrote the file.
+    pub fingerprint: u64,
+    /// Root seed of that grid.
+    pub root_seed: u64,
+    /// Number of cells in that grid.
+    pub cells: u64,
+}
+
 /// One completed-cell record loaded from a checkpoint file.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointEntry {
     /// Cell index in the submitted job slice.
     pub cell: usize,
     /// Job-encoded output payload.
-    pub payload: String,
+    pub payload: Json,
 }
 
-/// Loads the completed-cell records of a checkpoint file.
+/// A checkpoint file as read back: its header and every complete cell line.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Checkpoint {
+    /// The header line.
+    pub header: CheckpointHeader,
+    /// Completed cells, in file order.
+    pub entries: Vec<CheckpointEntry>,
+}
+
+/// Parses a header line. The one place the header is read, by [`read`]
+/// and by the append-mode probe alike, so a file of another schema is
+/// rejected on both paths.
+fn parse_header(line: &str) -> Result<CheckpointHeader, String> {
+    let doc = json::parse(line.as_bytes())
+        .map_err(|e| format!("checkpoint header is not valid JSON: {e}"))?;
+    let field = |key: &str| {
+        doc.get(key)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("checkpoint header has no {key}"))
+    };
+    let schema = field("schema")?;
+    if schema != CHECKPOINT_SCHEMA {
+        return Err(format!(
+            "checkpoint schema {schema} is not the schema this build reads \
+             ({CHECKPOINT_SCHEMA}); was it written by another build?"
+        ));
+    }
+    Ok(CheckpointHeader {
+        fingerprint: field("fingerprint")?,
+        root_seed: field("root_seed")?,
+        cells: field("cells")?,
+    })
+}
+
+/// Parses one cell line; `None` for a torn or partial line, whose cell
+/// simply re-runs.
+fn parse_entry(line: &str) -> Option<CheckpointEntry> {
+    let doc = json::parse(line.as_bytes()).ok()?;
+    Some(CheckpointEntry {
+        cell: usize::try_from(doc.get("cell")?.as_u64()?).ok()?,
+        payload: doc.get("payload")?.clone(),
+    })
+}
+
+/// Reads a checkpoint file: its header and every complete cell line.
+///
+/// The scan is byte-level and torn-tail tolerant: a writer killed
+/// mid-record can tear the file inside a multi-byte UTF-8 sequence, which
+/// a plain text read would report as a hard I/O error. The torn fragment
+/// just means its cell re-runs; it never fails the read.
 ///
 /// # Errors
-/// Returns a human-readable message when the file cannot be read, the
-/// header is malformed, or its fingerprint does not match `expected` —
-/// callers are expected to warn and fall back to a full run.
-pub fn load(path: &Path, expected: u64) -> Result<Vec<CheckpointEntry>, String> {
-    // A byte-level torn-tail-tolerant scan: a writer killed mid-record can
-    // tear the file inside a multi-byte UTF-8 sequence, which a plain
-    // line-by-line text read would report as a hard I/O error. The torn
-    // fragment just means its cell re-runs; it must never fail the resume.
+/// Returns a human-readable message when the file cannot be read or its
+/// header is malformed or of another [`CHECKPOINT_SCHEMA`].
+pub fn read(path: &Path) -> Result<Checkpoint, String> {
     let tail = lockbind_durable::tail::read_jsonl(path)
         .map_err(|e| format!("cannot read checkpoint {}: {e}", path.display()))?;
     if tail.torn_bytes > 0 {
@@ -76,33 +136,32 @@ pub fn load(path: &Path, expected: u64) -> Result<Vec<CheckpointEntry>, String> 
             tail.torn_bytes
         );
     }
-    let mut lines = tail.lines.into_iter();
-    let header = lines
-        .next()
-        .ok_or_else(|| "checkpoint file is empty".to_string())?;
-    let found = field_u64(&header, "fingerprint")
-        .ok_or_else(|| "checkpoint header has no fingerprint".to_string())?;
+    let mut lines = tail.lines.iter();
+    let header = parse_header(
+        lines
+            .next()
+            .ok_or_else(|| "checkpoint file is empty".to_string())?,
+    )?;
+    let entries = lines.filter_map(|line| parse_entry(line)).collect();
+    Ok(Checkpoint { header, entries })
+}
+
+/// Loads the completed-cell records of a checkpoint file: [`read`] plus
+/// the fingerprint check.
+///
+/// # Errors
+/// Everything [`read`] rejects, plus a fingerprint that does not match
+/// `expected` — callers are expected to warn and fall back to a full run.
+pub fn load(path: &Path, expected: u64) -> Result<Vec<CheckpointEntry>, String> {
+    let checkpoint = read(path)?;
+    let found = checkpoint.header.fingerprint;
     if found != expected {
         return Err(format!(
             "checkpoint fingerprint {found:#018x} does not match this grid ({expected:#018x}); \
              was it written by a different sweep?"
         ));
     }
-    let mut entries = Vec::new();
-    for line in lines {
-        if line.trim().is_empty() {
-            continue; // torn final line from a killed writer
-        }
-        let (Some(cell), Some(payload)) = (field_u64(&line, "cell"), field_str(&line, "payload"))
-        else {
-            continue; // torn/partial line: ignore, the cell just re-runs
-        };
-        entries.push(CheckpointEntry {
-            cell: cell as usize,
-            payload,
-        });
-    }
-    Ok(entries)
+    Ok(checkpoint.entries)
 }
 
 /// Append-mode checkpoint writer shared across worker threads; every
@@ -134,8 +193,8 @@ impl CheckpointWriter {
         let append = resuming
             && lockbind_durable::tail::read_jsonl(path)
                 .ok()
-                .and_then(|tail| field_u64(tail.lines.first().map(String::as_str)?, "fingerprint"))
-                .is_some_and(|found| found == fingerprint);
+                .and_then(|tail| parse_header(tail.lines.first()?).ok())
+                .is_some_and(|header| header.fingerprint == fingerprint);
         if append {
             // Continuing after a kill: drop any torn trailing fragment so
             // the next record does not concatenate with it (which would
@@ -197,56 +256,16 @@ impl CheckpointWriter {
     }
 
     /// Appends one completed cell and flushes.
-    pub(crate) fn append(&self, cell: usize, label: &str, payload: &str) -> std::io::Result<()> {
+    pub(crate) fn append(&self, cell: usize, label: &str, payload: Json) -> std::io::Result<()> {
         let line = Json::obj([
             ("cell", Json::from(cell)),
             ("label", Json::from(label)),
-            ("payload", Json::from(payload)),
+            ("payload", payload),
         ])
         .render();
         let mut out = self.out.lock().expect("checkpoint writer poisoned");
         writeln!(out, "{line}")?;
         out.flush()
-    }
-}
-
-/// Extracts `"key":<u64>` from a single-line JSON object written by this
-/// module (numbers are never quoted in our writer).
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
-
-/// Extracts and unescapes `"key":"..."` from a single-line JSON object
-/// written by this module.
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":\"");
-    let start = line.find(&needle)? + needle.len();
-    let mut out = String::new();
-    let mut chars = line[start..].chars();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
     }
 }
 
@@ -286,25 +305,42 @@ mod tests {
         let path = temp_path("roundtrip");
         let fp = fingerprint(7, &labels(4));
         let writer = CheckpointWriter::open(&path, fp, 7, 4, false).expect("open");
-        writer.append(0, "cell/0", "plain").expect("append");
         writer
-            .append(2, "cell/2", "a\x1fb\x1ec \"quoted\" \\slash\nnewline\tté")
+            .append(0, "cell/0", Json::from("plain"))
             .expect("append");
+        let awkward = Json::obj([
+            (
+                "text",
+                Json::from("a\x01b\u{7f}c \"quoted\" \\slash\nnewline\tté"),
+            ),
+            (
+                "floats",
+                Json::arr([Json::from(0.1), Json::from(-0.0), Json::from(f64::MAX)]),
+            ),
+            ("big", Json::from(u64::MAX)),
+        ]);
+        writer.append(2, "cell/2", awkward.clone()).expect("append");
         drop(writer);
-        let entries = load(&path, fp).expect("load");
+        let checkpoint = read(&path).expect("read");
+        assert_eq!(
+            checkpoint.header,
+            CheckpointHeader {
+                fingerprint: fp,
+                root_seed: 7,
+                cells: 4
+            }
+        );
+        let entries = checkpoint.entries;
         assert_eq!(entries.len(), 2);
         assert_eq!(
             entries[0],
             CheckpointEntry {
                 cell: 0,
-                payload: "plain".to_string()
+                payload: Json::from("plain")
             }
         );
         assert_eq!(entries[1].cell, 2);
-        assert_eq!(
-            entries[1].payload,
-            "a\x1fb\x1ec \"quoted\" \\slash\nnewline\tté"
-        );
+        assert_eq!(entries[1].payload.render(), awkward.render());
     }
 
     #[test]
@@ -312,10 +348,51 @@ mod tests {
         let path = temp_path("mismatch");
         let fp = fingerprint(7, &labels(4));
         let writer = CheckpointWriter::open(&path, fp, 7, 4, false).expect("open");
-        writer.append(0, "cell/0", "x").expect("append");
+        writer.append(0, "cell/0", Json::from("x")).expect("append");
         drop(writer);
         let err = load(&path, fp ^ 1).unwrap_err();
         assert!(err.contains("does not match"), "{err}");
+    }
+
+    #[test]
+    fn schema_1_file_is_rejected_and_never_appended_to() {
+        // A literal file from the schema-1 writer: separator-encoded
+        // payload text inside a JSON string.
+        let path = temp_path("schema1");
+        let fp = fingerprint(7, &labels(2));
+        let schema_1 = format!(
+            "{{\"schema\":1,\"fingerprint\":{fp},\"root_seed\":7,\"cells\":2}}\n\
+             {{\"cell\":0,\"label\":\"cell/0\",\"payload\":\"error\\u001efir\\u001fAdder\\u001f1\
+             \\u001f1\\u001fobf-aware\\u001f1.5\\u001f2.25\\u001f0.1\\u001f40\"}}\n"
+        );
+        std::fs::write(&path, &schema_1).expect("write");
+        let err = load(&path, fp).unwrap_err();
+        assert!(err.contains("schema 1"), "{err}");
+        assert!(read(&path).is_err(), "read checks the schema too");
+        // The resume probe rejects it as well: the writer starts over
+        // instead of appending schema-2 lines after a schema-1 header.
+        let writer = CheckpointWriter::open(&path, fp, 7, 2, true).expect("open");
+        assert!(
+            !writer.appended(),
+            "a schema-1 file must not be appended to"
+        );
+        writer
+            .append(1, "cell/1", Json::from("new"))
+            .expect("append");
+        drop(writer);
+        let checkpoint = read(&path).expect("rewritten as schema 2");
+        assert_eq!(checkpoint.header.fingerprint, fp);
+        assert_eq!(checkpoint.entries.len(), 1);
+        assert_eq!(checkpoint.entries[0].cell, 1);
+        let text = std::fs::read_to_string(&path).expect("read");
+        assert!(text.starts_with("{\"schema\":2,"), "{text}");
+    }
+
+    #[test]
+    fn malformed_headers_are_rejected() {
+        for header in ["", "not json", "{\"schema\":2}", "{\"fingerprint\":1}"] {
+            assert!(parse_header(header).is_err(), "{header:?}");
+        }
     }
 
     #[test]
@@ -323,7 +400,9 @@ mod tests {
         let path = temp_path("torn");
         let fp = fingerprint(1, &labels(3));
         let writer = CheckpointWriter::open(&path, fp, 1, 3, false).expect("open");
-        writer.append(0, "cell/0", "ok").expect("append");
+        writer
+            .append(0, "cell/0", Json::from("ok"))
+            .expect("append");
         drop(writer);
         // Simulate a kill mid-write: truncated trailing record.
         let mut text = std::fs::read_to_string(&path).expect("read");
@@ -342,7 +421,9 @@ mod tests {
         let path = temp_path("torn-utf8");
         let fp = fingerprint(1, &labels(3));
         let writer = CheckpointWriter::open(&path, fp, 1, 3, false).expect("open");
-        writer.append(0, "cell/0", "ok").expect("append");
+        writer
+            .append(0, "cell/0", Json::from("ok"))
+            .expect("append");
         drop(writer);
         let mut bytes = std::fs::read(&path).expect("read");
         let torn = "{\"cell\":1,\"label\":\"cell/1\",\"payload\":\"té";
@@ -360,19 +441,23 @@ mod tests {
         let path = temp_path("append-repair");
         let fp = fingerprint(2, &labels(4));
         let writer = CheckpointWriter::open(&path, fp, 2, 4, false).expect("open");
-        writer.append(0, "cell/0", "first").expect("append");
+        writer
+            .append(0, "cell/0", Json::from("first"))
+            .expect("append");
         drop(writer);
         let mut bytes = std::fs::read(&path).expect("read");
         bytes.extend_from_slice(b"{\"cell\":1,\"label\":\"cell/1\",\"payl");
         std::fs::write(&path, &bytes).expect("write");
         let writer = CheckpointWriter::open(&path, fp, 2, 4, true).expect("reopen");
         assert!(writer.appended(), "matching header despite the torn tail");
-        writer.append(2, "cell/2", "second").expect("append");
+        writer
+            .append(2, "cell/2", Json::from("second"))
+            .expect("append");
         drop(writer);
         let entries = load(&path, fp).expect("load");
         assert_eq!(entries.len(), 2, "{entries:?}");
         assert_eq!((entries[0].cell, entries[1].cell), (0, 2));
-        assert_eq!(entries[1].payload, "second");
+        assert_eq!(entries[1].payload, Json::from("second"));
     }
 
     #[test]
@@ -383,7 +468,9 @@ mod tests {
         let path = temp_path("append-utf8");
         let fp = fingerprint(5, &labels(3));
         let writer = CheckpointWriter::open(&path, fp, 5, 3, false).expect("open");
-        writer.append(0, "cell/0", "kept").expect("append");
+        writer
+            .append(0, "cell/0", Json::from("kept"))
+            .expect("append");
         drop(writer);
         let mut bytes = std::fs::read(&path).expect("read");
         let torn = "{\"payload\":\"é";
@@ -394,7 +481,7 @@ mod tests {
         drop(writer);
         let entries = load(&path, fp).expect("load");
         assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].payload, "kept");
+        assert_eq!(entries[0].payload, Json::from("kept"));
     }
 
     #[test]
@@ -402,10 +489,14 @@ mod tests {
         let path = temp_path("resume-append");
         let fp = fingerprint(3, &labels(5));
         let writer = CheckpointWriter::open(&path, fp, 3, 5, false).expect("open");
-        writer.append(0, "cell/0", "first").expect("append");
+        writer
+            .append(0, "cell/0", Json::from("first"))
+            .expect("append");
         drop(writer);
         let writer = CheckpointWriter::open(&path, fp, 3, 5, true).expect("reopen");
-        writer.append(1, "cell/1", "second").expect("append");
+        writer
+            .append(1, "cell/1", Json::from("second"))
+            .expect("append");
         drop(writer);
         let entries = load(&path, fp).expect("load");
         assert_eq!(entries.len(), 2);

@@ -27,10 +27,9 @@
 
 use std::time::Duration;
 
-use lockbind_obs::MetricsSnapshot;
+use lockbind_obs::{Json, MetricsSnapshot};
 
 use crate::cache::CacheStats;
-use crate::json::Json;
 
 /// JSON schema version written by [`RunMetrics::to_json`].
 pub const METRICS_SCHEMA_VERSION: u64 = 6;

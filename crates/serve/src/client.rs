@@ -31,13 +31,6 @@ pub struct ServeClient {
     stream: TcpStream,
 }
 
-fn field<'a>(doc: &'a Json, name: &str) -> Option<&'a Json> {
-    match doc {
-        Json::Object(pairs) => pairs.iter().find(|(k, _)| k == name).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
 impl ServeClient {
     /// Connects to `addr` (e.g. `127.0.0.1:7641`).
     ///
@@ -98,19 +91,15 @@ impl ServeClient {
     /// protocol error (the daemon serializes responses per connection).
     pub fn call(&mut self, request: &Json) -> io::Result<CallOutcome> {
         self.send(request)?;
-        let want_id = field(request, "id").cloned().unwrap_or(Json::Null);
+        let want_id = request.get("id").cloned().unwrap_or(Json::Null);
         let mut progress = Vec::new();
         loop {
             let (doc, raw) = self.read_event()?;
-            let is_response = matches!(
-                field(&doc, "type"),
-                Some(Json::Str(t)) if t == "response"
-            );
-            if !is_response {
+            if doc.get("type").and_then(Json::as_str) != Some("response") {
                 progress.push(doc);
                 continue;
             }
-            let id = field(&doc, "id").cloned().unwrap_or(Json::Null);
+            let id = doc.get("id").cloned().unwrap_or(Json::Null);
             if id != want_id && id != Json::Null {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -148,21 +137,18 @@ impl ServeClient {
 
 /// The `status` string of a response document, or `""`.
 pub fn response_status(doc: &Json) -> &str {
-    match field(doc, "status") {
-        Some(Json::Str(s)) => s.as_str(),
-        _ => "",
-    }
+    doc.get("status").and_then(Json::as_str).unwrap_or("")
 }
 
 /// The `error.code` string of a response document, or `""`.
 pub fn response_error_code(doc: &Json) -> &str {
-    match field(doc, "error").and_then(|e| field(e, "code")) {
-        Some(Json::Str(s)) => s.as_str(),
-        _ => "",
-    }
+    doc.get("error")
+        .and_then(|e| e.get("code"))
+        .and_then(Json::as_str)
+        .unwrap_or("")
 }
 
 /// A named field of the `result` object, if present.
 pub fn result_field<'a>(doc: &'a Json, name: &str) -> Option<&'a Json> {
-    field(doc, "result").and_then(|r| field(r, name))
+    doc.get("result").and_then(|r| r.get(name))
 }

@@ -14,11 +14,12 @@
 //! (SIGTERM completes every admitted request before exit).
 //!
 //! Module map, wire to core: [`wire`] (framing) → [`jsonin`] (strict
-//! parsing) → [`proto`] (validation + envelopes) → [`admission`]
-//! (tenant-fair bounded queue) → [`jobs`] (engine job bodies) →
-//! [`server`] (threads, coalescing, drain), with [`progress`] routing
-//! engine spans back to subscribed requests, [`signal`] latching
-//! SIGTERM, and [`client`]/[`loadgen`] as the client side.
+//! parsing, from `lockbind_obs::json`) → [`proto`] (validation +
+//! envelopes) → [`admission`] (tenant-fair bounded queue) → [`jobs`]
+//! (engine job bodies) → [`server`] (threads, coalescing, drain), with
+//! [`progress`] routing engine spans back to subscribed requests,
+//! [`signal`] latching SIGTERM, and [`client`]/[`loadgen`] as the client
+//! side.
 
 #![deny(unsafe_code)] // one vetted exception: `signal`'s SIGTERM shim
 #![warn(missing_docs)]
