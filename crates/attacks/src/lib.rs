@@ -27,6 +27,7 @@
 #![warn(missing_docs)]
 
 mod approximate;
+mod dip_loop;
 mod random_query;
 mod sat_attack;
 mod verify;

@@ -1,11 +1,12 @@
 //! The oracle-guided SAT attack (DIP loop).
 
+use lockbind_locking::corruption::MAX_SWEEP_INPUT_BITS;
 use lockbind_locking::LockedNetlist;
-use lockbind_netlist::cnf::{encode_netlist, Cnf};
 use lockbind_obs as obs;
 use lockbind_resil::CancelToken;
 use lockbind_sat::{SolveResult, Solver, SolverStats};
 
+use crate::dip_loop::DipLoop;
 use crate::is_functionally_correct;
 
 /// Configuration for [`sat_attack`].
@@ -84,33 +85,14 @@ impl SatAttackOutcome {
     }
 }
 
-/// Publishes a finished attack's cumulative solver statistics into the
-/// global metrics registry: hot-path counters (propagations, watcher
-/// visits, blocker hits), clause-database maintenance (reduces, GC runs),
-/// and the learnt-clause glue histogram (one bucket per LBD value, the
-/// last collecting glue ≥ 8). Called once per attack — each attack owns a
-/// fresh solver, so the cumulative stats are exactly this attack's work.
-fn record_solver_metrics(stats: &SolverStats) {
-    obs::counter!("sat.solver.conflicts").add(stats.conflicts);
-    obs::counter!("sat.solver.propagations").add(stats.propagations);
-    obs::counter!("sat.solver.watcher_visits").add(stats.watcher_visits);
-    obs::counter!("sat.solver.blocker_hits").add(stats.blocker_hits);
-    obs::counter!("sat.solver.reduces").add(stats.reduces);
-    obs::counter!("sat.solver.gc_runs").add(stats.gc_runs);
-    let glue_hist = obs::histogram!("sat.glue", &[1, 2, 3, 4, 5, 6, 7]);
-    for (i, &count) in stats.glue_hist.iter().enumerate() {
-        if count > 0 {
-            glue_hist.observe_n(i as u64 + 1, count);
-        }
-    }
-}
-
 /// Runs the SAT attack against a locked module, using its retained original
 /// netlist as the activated-chip oracle (the standard threat model: the
 /// attacker owns one unlocked chip plus the locked GDSII).
 ///
 /// # Panics
-/// Panics if the module has more than 63 inputs (DIP packing limit).
+/// Panics if the module has more than 63 inputs (DIP packing limit), or
+/// more than 24 inputs with [`AttackConfig::verify`] set (exhaustive key
+/// verification limit) — both before the DIP loop starts.
 pub fn sat_attack(locked: &LockedNetlist, config: &AttackConfig) -> SatAttackOutcome {
     sat_attack_with_cancel(locked, config, &CancelToken::new())
 }
@@ -121,7 +103,9 @@ pub fn sat_attack(locked: &LockedNetlist, config: &AttackConfig) -> SatAttackOut
 /// attack with [`AttackStop::Interrupted`] and `success = false`.
 ///
 /// # Panics
-/// Panics if the module has more than 63 inputs (DIP packing limit).
+/// Panics if the module has more than 63 inputs (DIP packing limit), or
+/// more than 24 inputs with [`AttackConfig::verify`] set (exhaustive key
+/// verification limit) — both before the DIP loop starts.
 pub fn sat_attack_with_cancel(
     locked: &LockedNetlist,
     config: &AttackConfig,
@@ -134,46 +118,16 @@ pub fn sat_attack_with_cancel(
     let _timer = obs::timer!("attack.sat");
     obs::counter!("sat.attacks").inc();
     assert!(n <= 63, "sat attack DIP packing supports at most 63 inputs");
+    assert!(
+        !config.verify || n <= MAX_SWEEP_INPUT_BITS as usize,
+        "sat attack key verification is exhaustive and supports at most \
+         {MAX_SWEEP_INPUT_BITS} inputs"
+    );
 
-    let mut cnf = Cnf::new();
     let mut solver = Solver::new();
     solver.set_conflict_budget(config.conflict_budget);
     solver.set_interrupt(Some(cancel.clone()));
-    let mut pushed = 0usize;
-
-    let x = cnf.new_vars(n);
-    let k1 = cnf.new_vars(kb);
-    let k2 = cnf.new_vars(kb);
-    let act = cnf.new_var();
-    // Constant-true literal for binding DIP inputs in agreement copies.
-    let ct = cnf.new_var();
-    cnf.add_clause([ct]);
-
-    // Miter: two keyed copies sharing X, with outputs forced to differ when
-    // `act` is assumed.
-    let o1 = encode_netlist(nl, &mut cnf, &x, &k1);
-    let o2 = encode_netlist(nl, &mut cnf, &x, &k2);
-    let mut diff_lits = Vec::with_capacity(o1.len());
-    for (a, b) in o1.iter().zip(&o2) {
-        let d = cnf.new_var();
-        // d <-> a xor b
-        cnf.add_clause([-d, *a, *b]);
-        cnf.add_clause([-d, -*a, -*b]);
-        cnf.add_clause([d, -*a, *b]);
-        cnf.add_clause([d, *a, -*b]);
-        diff_lits.push(d);
-    }
-    let mut miter_clause = vec![-act];
-    miter_clause.extend(&diff_lits);
-    cnf.add_clause(miter_clause);
-
-    let flush = |cnf: &Cnf, solver: &mut Solver, pushed: &mut usize| {
-        solver.reserve_vars(cnf.num_vars());
-        for cl in &cnf.clauses()[*pushed..] {
-            solver.add_clause(cl);
-        }
-        *pushed = cnf.clauses().len();
-    };
+    let mut dip_loop = DipLoop::new(locked, solver);
 
     // Early-stop outcome: no key was extracted, so report the zero key and
     // the reason the attack could not finish.
@@ -181,20 +135,20 @@ pub fn sat_attack_with_cancel(
                    iterations: u64,
                    dips: Vec<u64>,
                    conflicts_per_iteration: Vec<u64>,
-                   solver: &Solver| {
+                   dip_loop: &DipLoop| {
         match stop {
             AttackStop::BudgetExhausted => obs::counter!("sat.budget_exhausted").inc(),
             AttackStop::Interrupted => obs::counter!("sat.interrupted").inc(),
             _ => obs::counter!("sat.iteration_capped").inc(),
         }
-        record_solver_metrics(&solver.stats());
+        dip_loop.record_metrics();
         SatAttackOutcome {
             key: vec![false; kb],
             iterations,
             dips,
             success: false,
             stop,
-            solver_stats: solver.stats(),
+            solver_stats: dip_loop.stats(),
             conflicts_per_iteration,
         }
     };
@@ -210,13 +164,12 @@ pub fn sat_attack_with_cancel(
                 iterations,
                 dips,
                 conflicts_per_iteration,
-                &solver,
+                &dip_loop,
             );
         }
-        flush(&cnf, &mut solver, &mut pushed);
         obs::counter!("sat.queries").inc();
-        let result = solver.solve_with_assumptions(&[act]);
-        let now = solver.stats().conflicts;
+        let result = dip_loop.find_dip();
+        let now = dip_loop.stats().conflicts;
         match result {
             SolveResult::Unsat => break,
             SolveResult::BudgetExhausted => {
@@ -225,7 +178,7 @@ pub fn sat_attack_with_cancel(
                     iterations,
                     dips,
                     conflicts_per_iteration,
-                    &solver,
+                    &dip_loop,
                 );
             }
             SolveResult::Interrupted => {
@@ -234,7 +187,7 @@ pub fn sat_attack_with_cancel(
                     iterations,
                     dips,
                     conflicts_per_iteration,
-                    &solver,
+                    &dip_loop,
                 );
             }
             SolveResult::Sat => {
@@ -243,28 +196,16 @@ pub fn sat_attack_with_cancel(
                 obs::histogram!("sat.conflicts_per_dip").observe(now - last_conflicts);
                 conflicts_per_iteration.push(now - last_conflicts);
                 last_conflicts = now;
-                let dip_bits: Vec<bool> = x.iter().map(|&l| solver.model_value(l)).collect();
+                let dip_bits = dip_loop.dip();
                 let dip_packed = dip_bits
                     .iter()
                     .enumerate()
                     .fold(0u64, |acc, (i, &b)| acc | ((b as u64) << i));
                 dips.push(dip_packed);
 
-                // Oracle query on the activated chip.
-                let y = locked
-                    .oracle()
-                    .eval(&dip_bits, &[])
-                    .expect("oracle arity matches");
-
-                // Both key copies must reproduce the oracle on this DIP.
-                let in_lits: Vec<i32> =
-                    dip_bits.iter().map(|&b| if b { ct } else { -ct }).collect();
-                for keys in [&k1, &k2] {
-                    let outs = encode_netlist(nl, &mut cnf, &in_lits, keys);
-                    for (o, &yv) in outs.iter().zip(&y) {
-                        cnf.add_clause([if yv { *o } else { -*o }]);
-                    }
-                }
+                // Oracle query on the activated chip; both key copies must
+                // reproduce it.
+                dip_loop.learn(&dip_bits);
 
                 if iterations >= config.max_iterations {
                     return aborted(
@@ -272,7 +213,7 @@ pub fn sat_attack_with_cancel(
                         iterations,
                         dips,
                         conflicts_per_iteration,
-                        &solver,
+                        &dip_loop,
                     );
                 }
             }
@@ -281,17 +222,16 @@ pub fn sat_attack_with_cancel(
 
     // No DIP remains: any key consistent with the agreement constraints is
     // functionally correct. Deactivate the miter and extract one.
-    flush(&cnf, &mut solver, &mut pushed);
     obs::counter!("sat.queries").inc();
-    let key: Vec<bool> = match solver.solve_with_assumptions(&[-act]) {
-        SolveResult::Sat => k1.iter().map(|&l| solver.model_value(l)).collect(),
+    let key = match dip_loop.find_key() {
+        SolveResult::Sat => dip_loop.key(),
         SolveResult::Interrupted => {
             return aborted(
                 AttackStop::Interrupted,
                 iterations,
                 dips,
                 conflicts_per_iteration,
-                &solver,
+                &dip_loop,
             );
         }
         SolveResult::BudgetExhausted => {
@@ -300,7 +240,7 @@ pub fn sat_attack_with_cancel(
                 iterations,
                 dips,
                 conflicts_per_iteration,
-                &solver,
+                &dip_loop,
             );
         }
         SolveResult::Unsat => {
@@ -312,14 +252,14 @@ pub fn sat_attack_with_cancel(
     } else {
         true
     };
-    record_solver_metrics(&solver.stats());
+    dip_loop.record_metrics();
     SatAttackOutcome {
         key,
         iterations,
         dips,
         success,
         stop: AttackStop::Completed,
-        solver_stats: solver.stats(),
+        solver_stats: dip_loop.stats(),
         conflicts_per_iteration,
     }
 }
@@ -526,6 +466,55 @@ mod tests {
         let learnt_total: u64 = st.glue_hist.iter().sum();
         assert!(learnt_total > 0, "attack should have learnt clauses");
         assert!(glue_total(&after) - glue_total(&before) >= learnt_total);
+    }
+
+    #[test]
+    fn attack_publishes_dip_encoding_metrics_to_the_registry() {
+        // Same delta discipline as above: other attacks in this binary may
+        // add to the counters concurrently.
+        let before = obs::Registry::global().snapshot();
+        let locked = lock_anti_sat(&xor_fu(2)).expect("lockable");
+        let out = sat_attack(&locked, &AttackConfig::default());
+        assert!(out.success);
+        let after = obs::Registry::global().snapshot();
+        let delta = |name: &str| {
+            after.counters.get(name).copied().unwrap_or(0)
+                - before.counters.get(name).copied().unwrap_or(0)
+        };
+        // Folding leaves each DIP copy a few key-gate variables at most
+        // (the whole netlist has far more), and the repeated key-only
+        // anti-SAT blocks must come out of the structural hash.
+        let copies = 2 * out.iterations;
+        assert!(copies > 0);
+        assert!(delta("sat.dip_vars") > 0);
+        assert!(
+            delta("sat.dip_vars") < copies * locked.netlist().gate_count() as u64 / 2,
+            "folded copies should keep under half the gates"
+        );
+        assert!(delta("sat.dip_clauses") >= delta("sat.dip_vars"));
+        assert!(delta("sat.strash_hits") >= out.iterations);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 24 inputs")]
+    fn verified_attack_on_a_wide_module_fails_before_the_dip_loop() {
+        // 26 inputs: within DIP packing, beyond exhaustive verification.
+        let locked = lock_rll(&adder_fu(13), 4, 1).expect("lockable");
+        let _ = sat_attack(&locked, &AttackConfig::default());
+    }
+
+    #[test]
+    fn unverified_attack_on_a_wide_module_runs() {
+        let locked = lock_rll(&adder_fu(13), 4, 1).expect("lockable");
+        let out = sat_attack(
+            &locked,
+            &AttackConfig {
+                verify: false,
+                max_iterations: 2,
+                ..AttackConfig::default()
+            },
+        );
+        assert!(out.iterations >= 1);
     }
 
     #[test]

@@ -6,6 +6,10 @@
 
 use crate::{splitmix64, LockedNetlist};
 
+/// Widest input bus the exhaustive sweeps below accept (a guard against
+/// accidental huge sweeps).
+pub const MAX_SWEEP_INPUT_BITS: u32 = 24;
+
 /// Exhaustively enumerates the input minterms (packed LSB-first over the
 /// input bus) on which the locked module under `key` disagrees with the
 /// oracle. `input_bits` must equal the module's input count.
@@ -14,10 +18,13 @@ use crate::{splitmix64, LockedNetlist};
 /// netlist evaluations.
 ///
 /// # Panics
-/// Panics if `input_bits` mismatches the module or exceeds 24 (guard against
-/// accidental huge sweeps).
+/// Panics if `input_bits` mismatches the module or exceeds
+/// [`MAX_SWEEP_INPUT_BITS`].
 pub fn corrupted_inputs(locked: &LockedNetlist, key: &[bool], input_bits: u32) -> Vec<u64> {
-    assert!(input_bits <= 24, "exhaustive sweep capped at 24 input bits");
+    assert!(
+        input_bits <= MAX_SWEEP_INPUT_BITS,
+        "exhaustive sweep capped at {MAX_SWEEP_INPUT_BITS} input bits"
+    );
     assert_eq!(
         locked.netlist().num_inputs(),
         input_bits as usize,

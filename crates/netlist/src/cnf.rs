@@ -6,6 +6,15 @@
 //! into one [`Cnf`] with different input/key literal vectors — exactly what
 //! the SAT attack's miter construction needs (two copies sharing inputs but
 //! with independent keys).
+//!
+//! [`HashedEncoder`] is the folding counterpart for copies whose inputs are
+//! mostly constants (the SAT attack's per-DIP agreement copies): it
+//! propagates constants through the netlist and structurally hashes the
+//! remaining gates, so a copy only adds variables for logic that still
+//! depends on the keys, and key-only logic repeated across copies is
+//! encoded once.
+
+use std::collections::HashMap;
 
 use crate::{Gate, Netlist};
 
@@ -168,6 +177,160 @@ pub fn encode_netlist_with_map(
     (outputs, lit_of)
 }
 
+/// The two gate shapes [`HashedEncoder`] keeps in its table; `Or` is
+/// rewritten to `And` and `Not` to a negated literal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Op {
+    And,
+    Xor,
+}
+
+/// A folding, structurally hashed encoder. Every netlist copy it encodes
+/// into one [`Cnf`] shares its constant-true literal and its
+/// `(op, lit, lit) → lit` table:
+///
+/// * constants are `±true`; `Not` negates a literal without a variable;
+/// * `And` folds constants, `x∧x` and `x∧¬x`; `Or(a,b)` is `¬And(¬a,¬b)`;
+/// * `Xor` folds constants, `x⊕x` and `x⊕¬x`, and moves operand signs
+///   into the sign of its output literal;
+/// * a Tseitin variable is created only on a table miss.
+///
+/// Table entries are full equivalences, so sharing them across copies is
+/// sound for any input and key literals.
+#[derive(Debug, Clone)]
+pub struct HashedEncoder {
+    true_lit: i32,
+    table: HashMap<(Op, i32, i32), i32>,
+    hits: u64,
+}
+
+impl HashedEncoder {
+    /// Allocates the constant-true variable in `cnf` (with its unit clause).
+    pub fn new(cnf: &mut Cnf) -> Self {
+        let true_lit = cnf.new_var();
+        cnf.add_clause([true_lit]);
+        HashedEncoder {
+            true_lit,
+            table: HashMap::new(),
+            hits: 0,
+        }
+    }
+
+    /// The literal standing for the constant `value`.
+    pub fn constant(&self, value: bool) -> i32 {
+        if value {
+            self.true_lit
+        } else {
+            -self.true_lit
+        }
+    }
+
+    /// Table lookups answered without a new variable so far.
+    pub fn strash_hits(&self) -> u64 {
+        self.hits
+    }
+
+    /// Encodes one copy of `netlist` into `cnf` (which must be the formula
+    /// this encoder was created on) and returns its output literals in
+    /// output-declaration order. Inputs bound to [`HashedEncoder::constant`]
+    /// literals are folded away.
+    ///
+    /// # Panics
+    /// Panics if the literal vectors do not match the netlist's arities.
+    pub fn encode(
+        &mut self,
+        netlist: &Netlist,
+        cnf: &mut Cnf,
+        input_lits: &[i32],
+        key_lits: &[i32],
+    ) -> Vec<i32> {
+        assert_eq!(
+            input_lits.len(),
+            netlist.num_inputs(),
+            "input literal count mismatch"
+        );
+        assert_eq!(
+            key_lits.len(),
+            netlist.num_keys(),
+            "key literal count mismatch"
+        );
+        let mut lit_of: Vec<i32> = Vec::with_capacity(netlist.num_nodes());
+        for (_, gate) in netlist.iter_gates() {
+            let lit = match gate {
+                Gate::False => -self.true_lit,
+                Gate::Input(i) => input_lits[i],
+                Gate::Key(i) => key_lits[i],
+                Gate::Not(a) => -lit_of[a.index()],
+                Gate::And(a, b) => self.and(cnf, lit_of[a.index()], lit_of[b.index()]),
+                Gate::Or(a, b) => -self.and(cnf, -lit_of[a.index()], -lit_of[b.index()]),
+                Gate::Xor(a, b) => self.xor(cnf, lit_of[a.index()], lit_of[b.index()]),
+            };
+            lit_of.push(lit);
+        }
+        netlist
+            .outputs()
+            .iter()
+            .map(|s| lit_of[s.index()])
+            .collect()
+    }
+
+    fn and(&mut self, cnf: &mut Cnf, x: i32, y: i32) -> i32 {
+        let t = self.true_lit;
+        if x == -t || y == -t || x == -y {
+            return -t;
+        }
+        if x == t || x == y {
+            return y;
+        }
+        if y == t {
+            return x;
+        }
+        self.lookup(cnf, Op::And, x.min(y), x.max(y))
+    }
+
+    fn xor(&mut self, cnf: &mut Cnf, x: i32, y: i32) -> i32 {
+        let negate = (x < 0) != (y < 0);
+        let (x, y) = (x.abs(), y.abs());
+        let lit = if x == y {
+            -self.true_lit
+        } else if x == self.true_lit {
+            -y
+        } else if y == self.true_lit {
+            -x
+        } else {
+            self.lookup(cnf, Op::Xor, x.min(y), x.max(y))
+        };
+        if negate {
+            -lit
+        } else {
+            lit
+        }
+    }
+
+    fn lookup(&mut self, cnf: &mut Cnf, op: Op, x: i32, y: i32) -> i32 {
+        if let Some(&c) = self.table.get(&(op, x, y)) {
+            self.hits += 1;
+            return c;
+        }
+        let c = cnf.new_var();
+        match op {
+            Op::And => {
+                cnf.add_clause([-c, x]);
+                cnf.add_clause([-c, y]);
+                cnf.add_clause([c, -x, -y]);
+            }
+            Op::Xor => {
+                cnf.add_clause([-c, x, y]);
+                cnf.add_clause([-c, -x, -y]);
+                cnf.add_clause([c, -x, y]);
+                cnf.add_clause([c, x, -y]);
+            }
+        }
+        self.table.insert((op, x, y), c);
+        c
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,6 +475,165 @@ mod tests {
         let mut cnf = Cnf::new();
         let _ = cnf.new_var();
         cnf.add_clause([0]);
+    }
+
+    /// Encodes a one-output netlist built by `build` (over two inputs and
+    /// two keys) with a fresh [`HashedEncoder`]; returns the formula, the
+    /// encoder, the key literals and the output literal.
+    fn hashed_one(
+        inputs: [Option<bool>; 2],
+        build: impl Fn(&mut Netlist, [Signal; 2], [Signal; 2]) -> Signal,
+    ) -> (Cnf, HashedEncoder, Vec<i32>, i32) {
+        let mut nl = Netlist::new("fold");
+        let a = nl.add_inputs(2);
+        let k = nl.add_keys(2);
+        let o = build(&mut nl, [a[0], a[1]], [k[0], k[1]]);
+        nl.mark_output(o);
+        let mut cnf = Cnf::new();
+        let keys = cnf.new_vars(2);
+        let mut enc = HashedEncoder::new(&mut cnf);
+        let in_lits: Vec<i32> = inputs
+            .iter()
+            .map(|b| b.map_or_else(|| cnf.new_var(), |b| enc.constant(b)))
+            .collect();
+        let out = enc.encode(&nl, &mut cnf, &in_lits, &keys);
+        (cnf, enc, keys, out[0])
+    }
+
+    /// Variables and clauses of a fresh encoder before any gate: the
+    /// two keys and the constant-true variable with its unit clause.
+    const BASE_VARS: u32 = 3;
+
+    #[test]
+    fn hashed_constant_inputs_fold_into_key_literals() {
+        // a0 ∧ k0 with a0 = 1 is k0 itself; with a0 = 0 it is false.
+        let (cnf, _, keys, out) = hashed_one([Some(true), None], |nl, a, k| nl.and(a[0], k[0]));
+        assert_eq!(out, keys[0]);
+        assert_eq!(cnf.num_vars(), BASE_VARS + 1); // only the free input
+        let (cnf, enc, _, out) = hashed_one([Some(false), None], |nl, a, k| nl.and(a[0], k[0]));
+        assert_eq!(out, enc.constant(false));
+        assert_eq!(cnf.clauses().len(), 1);
+    }
+
+    #[test]
+    fn hashed_not_negates_without_a_variable() {
+        let (cnf, _, keys, out) = hashed_one([None, None], |nl, _, k| nl.not(k[1]));
+        assert_eq!(out, -keys[1]);
+        assert_eq!(cnf.num_vars(), BASE_VARS + 2);
+    }
+
+    #[test]
+    fn hashed_false_is_the_negated_true_literal() {
+        let (cnf, enc, _, out) = hashed_one([None, None], |nl, _, _| nl.lit_false());
+        assert_eq!(out, -enc.constant(true));
+        assert_eq!(cnf.clauses(), &[vec![enc.constant(true)]]);
+        let (_, enc, _, out) = hashed_one([None, None], |nl, _, _| nl.lit_true());
+        assert_eq!(out, enc.constant(true));
+    }
+
+    #[test]
+    fn hashed_and_folds_constants_and_repeated_operands() {
+        let (_, enc, _, out) = hashed_one([None, None], |nl, _, k| {
+            let f = nl.lit_false();
+            nl.and(k[0], f)
+        });
+        assert_eq!(out, enc.constant(false));
+        let (_, _, keys, out) = hashed_one([None, None], |nl, _, k| {
+            let t = nl.lit_true();
+            nl.and(t, k[0])
+        });
+        assert_eq!(out, keys[0]);
+        let (_, _, keys, out) = hashed_one([None, None], |nl, _, k| nl.and(k[1], k[1]));
+        assert_eq!(out, keys[1]);
+        let (cnf, enc, _, out) = hashed_one([None, None], |nl, _, k| {
+            let n = nl.not(k[1]);
+            nl.and(k[1], n)
+        });
+        assert_eq!(out, enc.constant(false));
+        assert_eq!(cnf.num_vars(), BASE_VARS + 2);
+    }
+
+    #[test]
+    fn hashed_or_goes_through_the_and_table() {
+        // Or(k0, k1) = ¬And(¬k0, ¬k1): the explicit And of the negations
+        // hits the Or's entry and is its negation.
+        let (cnf, enc, _, out) = hashed_one([None, None], |nl, _, k| {
+            let o = nl.or(k[0], k[1]);
+            let n0 = nl.not(k[0]);
+            let n1 = nl.not(k[1]);
+            let a = nl.and(n1, n0);
+            nl.xor(o, a) // ¬c ⊕ c = true
+        });
+        assert_eq!(out, enc.constant(true));
+        assert_eq!(enc.strash_hits(), 1);
+        assert_eq!(cnf.num_vars(), BASE_VARS + 2 + 1);
+        assert_eq!(cnf.clauses().len(), 1 + 3);
+        // Or with a true operand is true; with a false one, the other.
+        let (_, enc, _, out) = hashed_one([Some(true), None], |nl, a, k| nl.or(k[0], a[0]));
+        assert_eq!(out, enc.constant(true));
+        let (_, _, keys, out) = hashed_one([Some(false), None], |nl, a, k| nl.or(a[0], k[0]));
+        assert_eq!(out, keys[0]);
+    }
+
+    #[test]
+    fn hashed_xor_folds_constants_and_repeated_operands() {
+        let (_, _, keys, out) = hashed_one([Some(true), None], |nl, a, k| nl.xor(k[0], a[0]));
+        assert_eq!(out, -keys[0]);
+        let (_, _, keys, out) = hashed_one([Some(false), None], |nl, a, k| nl.xor(a[0], k[0]));
+        assert_eq!(out, keys[0]);
+        let (_, enc, _, out) = hashed_one([None, None], |nl, _, k| nl.xor(k[1], k[1]));
+        assert_eq!(out, enc.constant(false));
+        let (cnf, enc, _, out) = hashed_one([None, None], |nl, _, k| {
+            let n = nl.not(k[1]);
+            nl.xor(n, k[1])
+        });
+        assert_eq!(out, enc.constant(true));
+        assert_eq!(cnf.num_vars(), BASE_VARS + 2);
+    }
+
+    #[test]
+    fn hashed_xor_moves_operand_signs_to_the_output() {
+        // ¬k0 ⊕ k1 and k0 ⊕ ¬k1 are both ¬(k0 ⊕ k1): one variable.
+        let (cnf, enc, _, out) = hashed_one([None, None], |nl, _, k| {
+            let n0 = nl.not(k[0]);
+            let n1 = nl.not(k[1]);
+            let x = nl.xor(k[0], k[1]);
+            let y = nl.xor(n0, k[1]);
+            let z = nl.xor(k[0], n1);
+            let w = nl.xor(y, z); // ¬c ⊕ ¬c = false
+            nl.xor(x, w) // c ⊕ false = c
+        });
+        assert!(out > 0, "positive operands give the positive literal");
+        assert_eq!(enc.strash_hits(), 2);
+        assert_eq!(cnf.num_vars(), BASE_VARS + 2 + 1);
+        assert_eq!(cnf.clauses().len(), 1 + 4);
+    }
+
+    #[test]
+    fn hashed_table_miss_is_the_only_new_variable_and_is_shared_by_copies() {
+        // A key-only subfunction encoded in two copies with different
+        // constant inputs: the second copy reuses the first copy's gates.
+        let mut nl = Netlist::new("share");
+        let a = nl.add_input();
+        let k = nl.add_keys(2);
+        let kk = nl.and(k[0], k[1]);
+        let kx = nl.xor(kk, k[0]);
+        let o = nl.or(kx, a);
+        nl.mark_output(o);
+        let mut cnf = Cnf::new();
+        let keys = cnf.new_vars(2);
+        let mut enc = HashedEncoder::new(&mut cnf);
+        let o1 = enc.encode(&nl, &mut cnf, &[enc.constant(false)], &keys);
+        let (vars, clauses) = (cnf.num_vars(), cnf.clauses().len());
+        assert_eq!(vars, BASE_VARS + 2); // one And, one Xor
+        assert_eq!(clauses, 1 + 3 + 4);
+        let o2 = enc.encode(&nl, &mut cnf, &[enc.constant(false)], &keys);
+        assert_eq!(o1, o2);
+        assert_eq!((cnf.num_vars(), cnf.clauses().len()), (vars, clauses));
+        assert_eq!(enc.strash_hits(), 2);
+        let o3 = enc.encode(&nl, &mut cnf, &[enc.constant(true)], &keys);
+        assert_eq!(o3, vec![enc.constant(true)]);
+        assert_eq!(cnf.num_vars(), vars);
     }
 
     #[test]
