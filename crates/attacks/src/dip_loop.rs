@@ -134,8 +134,8 @@ impl<'a> DipLoop<'a> {
     ///
     /// * solver hot-path counters (propagations, watcher visits, blocker
     ///   hits), clause-database maintenance (reduces, GC runs), and the
-    ///   learnt-clause glue histogram (one bucket per LBD value, the last
-    ///   collecting glue ≥ 8);
+    ///   learnt-clause glue histogram (one bucket per LBD value, value 8
+    ///   standing for glue ≥ 8);
     /// * the agreement copies' encoding: variables and clauses they added
     ///   (`sat.dip_vars`, `sat.dip_clauses`) and the gates the structural
     ///   hash answered from its table (`sat.strash_hits`).
@@ -147,10 +147,10 @@ impl<'a> DipLoop<'a> {
         obs::counter!("sat.solver.blocker_hits").add(stats.blocker_hits);
         obs::counter!("sat.solver.reduces").add(stats.reduces);
         obs::counter!("sat.solver.gc_runs").add(stats.gc_runs);
-        let glue_hist = obs::histogram!("sat.glue", &[1, 2, 3, 4, 5, 6, 7]);
+        let glue_hist = obs::histogram!("sat.glue");
         for (i, &count) in stats.glue_hist.iter().enumerate() {
             if count > 0 {
-                glue_hist.observe_n(i as u64 + 1, count);
+                glue_hist.record_n(i as u64 + 1, count);
             }
         }
         obs::counter!("sat.dip_vars").add(self.copy_vars);

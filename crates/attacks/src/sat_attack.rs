@@ -193,7 +193,7 @@ pub fn sat_attack_with_cancel(
             SolveResult::Sat => {
                 iterations += 1;
                 obs::counter!("sat.dips").inc();
-                obs::histogram!("sat.conflicts_per_dip").observe(now - last_conflicts);
+                obs::histogram!("sat.conflicts_per_dip").record(now - last_conflicts);
                 conflicts_per_iteration.push(now - last_conflicts);
                 last_conflicts = now;
                 let dip_bits = dip_loop.dip();
@@ -460,7 +460,7 @@ mod tests {
         let glue_total = |snap: &obs::MetricsSnapshot| {
             snap.histograms
                 .get("sat.glue")
-                .map(|h| h.counts.iter().sum::<u64>())
+                .map(|h| h.count())
                 .unwrap_or(0)
         };
         let learnt_total: u64 = st.glue_hist.iter().sum();

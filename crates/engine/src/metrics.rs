@@ -24,6 +24,11 @@
 //! `lockbind-check` audit passes record on the obs registry — all zeros
 //! unless the run enabled the audit (`--audit`); all earlier fields are
 //! unchanged.
+//! Version 7 changed the shape of each `obs.histograms` entry: the
+//! fixed-bucket `{bounds, counts}` became the log-linear histogram's
+//! `{count, sum, p50, p99, max, buckets}`, where `buckets` lists
+//! `[upper, count]` for the non-empty buckets only and the quantiles are
+//! nearest-rank bucket upper bounds; all other fields are unchanged.
 
 use std::time::Duration;
 
@@ -32,7 +37,7 @@ use lockbind_obs::{Json, MetricsSnapshot};
 use crate::cache::CacheStats;
 
 /// JSON schema version written by [`RunMetrics::to_json`].
-pub const METRICS_SCHEMA_VERSION: u64 = 6;
+pub const METRICS_SCHEMA_VERSION: u64 = 7;
 
 /// Request aggregates recorded by the serve daemon on the obs registry,
 /// one counter per terminal response status plus the coalescing count.
@@ -499,7 +504,7 @@ mod tests {
         assert!(!summary.contains("skipped"), "{summary}");
         assert!(summary.contains("1 check-failed"), "{summary}");
         let json = metrics.to_json().render();
-        assert!(json.contains("\"schema_version\":6"));
+        assert!(json.contains("\"schema_version\":7"));
         assert!(json.contains("\"cells_check_failed\":1"));
         assert!(json.contains("\"check_codes\":{\"LB0304\":2}"));
         assert!(json.contains("\"root_seed\":2021"));

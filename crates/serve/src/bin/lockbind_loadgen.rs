@@ -205,13 +205,10 @@ fn main() {
         report.deadline_exceeded,
         report.interrupted
     );
+    let lat = report.latency_summary();
     println!(
         "[loadgen] p50 {} us | p90 {} us | p99 {} us | p999 {} us | max {} us",
-        report.latency_us(0.50),
-        report.latency_us(0.90),
-        report.latency_us(0.99),
-        report.latency_us(0.999),
-        report.latency_us(1.0)
+        lat.p50, lat.p90, lat.p99, lat.p999, lat.max
     );
     println!(
         "[loadgen] throughput {:.1} rps | shed rate {:.3} | cache hit rate {:.3}",

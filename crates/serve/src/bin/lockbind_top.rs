@@ -38,35 +38,25 @@ fn parse_u64(flag: &str, value: &str, min: u64, max: u64) -> u64 {
     parsed
 }
 
-fn field<'a>(doc: &'a Json, name: &str) -> Option<&'a Json> {
-    match doc {
-        Json::Object(pairs) => pairs.iter().find(|(k, _)| k == name).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
+/// `doc[name]` as a count: a UInt, or a non-negative float truncated.
 fn uint(doc: &Json, name: &str) -> u64 {
-    match field(doc, name) {
-        Some(Json::UInt(v)) => *v,
-        Some(Json::Float(v)) if *v >= 0.0 => *v as u64,
-        _ => 0,
-    }
+    let value = doc.get(name);
+    value
+        .and_then(Json::as_u64)
+        .or_else(|| value?.as_f64().filter(|v| *v >= 0.0).map(|v| v as u64))
+        .unwrap_or(0)
 }
 
 fn float(doc: &Json, name: &str) -> f64 {
-    match field(doc, name) {
-        Some(Json::Float(v)) => *v,
-        Some(Json::UInt(v)) => *v as f64,
-        _ => 0.0,
-    }
+    doc.get(name).and_then(Json::as_f64).unwrap_or(0.0)
 }
 
 fn render_frame(snapshot: &Json) -> String {
     let mut out = String::new();
     let window_ms = uint(snapshot, "window_ms").max(1);
     let uptime_s = uint(snapshot, "uptime_us") as f64 / 1e6;
-    let latency = field(snapshot, "latency_us");
-    let flight = field(snapshot, "flight");
+    let latency = snapshot.get("latency_us");
+    let flight = snapshot.get("flight");
     out.push_str(&format!(
         "lockbind-serve | up {uptime_s:.1}s | window {:.1}s | flight events {} dumps {}\n",
         window_ms as f64 / 1e3,
@@ -88,15 +78,12 @@ fn render_frame(snapshot: &Json) -> String {
         "{:<16} {:>8} {:>9} {:>9} {:>9} {:>7} {:>7} {:>7}\n",
         "TENANT", "RPS", "INFLIGHT", "P50US", "P99US", "SHED%", "BURN-S", "BURN-L"
     ));
-    let tenants = match field(snapshot, "tenants") {
-        Some(Json::Array(items)) => items.as_slice(),
-        _ => &[],
-    };
+    let tenants = snapshot
+        .get("tenants")
+        .and_then(Json::as_array)
+        .unwrap_or_default();
     for t in tenants {
-        let name = match field(t, "tenant") {
-            Some(Json::Str(s)) => s.as_str(),
-            _ => "?",
-        };
+        let name = t.get("tenant").and_then(Json::as_str).unwrap_or("?");
         let window_requests = uint(t, "window_requests");
         let rps = window_requests as f64 * 1000.0 / window_ms as f64;
         let shed_pct = if window_requests > 0 {
@@ -104,8 +91,8 @@ fn render_frame(snapshot: &Json) -> String {
         } else {
             0.0
         };
-        let lat = field(t, "latency_us");
-        let slo = field(t, "slo");
+        let lat = t.get("latency_us");
+        let slo = t.get("slo");
         out.push_str(&format!(
             "{:<16} {:>8.1} {:>9} {:>9} {:>9} {:>6.1}% {:>7.2} {:>7.2}\n",
             name,
@@ -171,7 +158,9 @@ fn main() {
             );
             std::process::exit(1);
         }
-        let snapshot = field(&outcome.response, "result")
+        let snapshot = outcome
+            .response
+            .get("result")
             .cloned()
             .unwrap_or(Json::Null);
         if clear {

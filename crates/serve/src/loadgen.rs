@@ -14,7 +14,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lockbind_obs::Json;
+use lockbind_obs::{HistSnapshot, Json, LogLinearHistogram};
+use lockbind_telemetry::LatencySummary;
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 
@@ -73,8 +74,8 @@ pub struct LoadReport {
     pub deadline_exceeded: u64,
     /// `interrupted` responses.
     pub interrupted: u64,
-    /// Per-request latencies in microseconds, sorted ascending.
-    pub latencies_us: Vec<u64>,
+    /// Per-request latencies in microseconds.
+    pub latency: HistSnapshot,
     /// Wall-clock duration of the run in milliseconds.
     pub elapsed_ms: f64,
     /// The server's `stats` response at the end of the run, if it
@@ -83,13 +84,10 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
-    /// The `q`-quantile latency in microseconds (nearest-rank).
-    pub fn latency_us(&self, q: f64) -> u64 {
-        if self.latencies_us.is_empty() {
-            return 0;
-        }
-        let rank = ((self.latencies_us.len() - 1) as f64 * q).round() as usize;
-        self.latencies_us[rank]
+    /// Count, mean and nearest-rank quantiles of the latencies (each
+    /// quantile the upper bound of its histogram bucket, µs).
+    pub fn latency_summary(&self) -> LatencySummary {
+        LatencySummary::of(&self.latency)
     }
 
     /// Completed responses per second.
@@ -114,32 +112,16 @@ impl LoadReport {
     /// Server-side cache hit rate over the whole run, from the final
     /// `stats` response (0 when unavailable).
     pub fn cache_hit_rate(&self) -> f64 {
-        let Some(stats) = &self.server_stats else {
-            return 0.0;
+        let cache = self
+            .server_stats
+            .as_ref()
+            .and_then(|stats| stats.get("result")?.get("cache"));
+        let get = |name: &str| {
+            cache
+                .and_then(|c| c.get(name)?.as_u64())
+                .map_or(0.0, |v| v as f64)
         };
-        let get = |outer: &Json, name: &str| -> f64 {
-            if let Json::Object(pairs) = outer {
-                if let Some((_, Json::Object(cache))) =
-                    pairs.iter().find(|(k, _)| k == "cache").map(|p| (0, &p.1))
-                {
-                    if let Some((_, Json::UInt(v))) = cache.iter().find(|(k, _)| k == name) {
-                        return *v as f64;
-                    }
-                }
-            }
-            0.0
-        };
-        let result = match stats {
-            Json::Object(pairs) => pairs
-                .iter()
-                .find(|(k, _)| k == "result")
-                .map(|(_, v)| v)
-                .cloned()
-                .unwrap_or(Json::Null),
-            _ => Json::Null,
-        };
-        let hits = get(&result, "hits");
-        let misses = get(&result, "misses");
+        let (hits, misses) = (get("hits"), get("misses"));
         if hits + misses == 0.0 {
             0.0
         } else {
@@ -149,12 +131,14 @@ impl LoadReport {
 
     /// Serializes the report as the committed benchmark JSON.
     ///
-    /// Schema v2 adds `latency_us.p999` (heavy-tail load makes the
-    /// extreme tail the interesting number) alongside the existing
-    /// `max`.
+    /// Schema v2 added `latency_us.p999` (heavy-tail load makes the
+    /// extreme tail the interesting number) alongside `max`. Schema v3
+    /// takes `latency_us` from the log-linear histogram: every quantile is
+    /// nearest-rank, reported as its bucket's upper bound (at most ~3.1%
+    /// above the exact value), and the object gains `count` and `mean_us`.
     pub fn to_json(&self, cfg: &LoadConfig) -> Json {
         Json::obj([
-            ("schema_version", Json::from(2u64)),
+            ("schema_version", Json::from(3u64)),
             ("requests", Json::from(cfg.requests)),
             ("concurrency", Json::from(cfg.concurrency)),
             ("tenants", Json::from(cfg.tenants)),
@@ -169,16 +153,7 @@ impl LoadReport {
             ("interrupted", Json::from(self.interrupted)),
             ("elapsed_ms", Json::from(self.elapsed_ms)),
             ("throughput_rps", Json::from(self.throughput_rps())),
-            (
-                "latency_us",
-                Json::obj([
-                    ("p50", Json::from(self.latency_us(0.50))),
-                    ("p90", Json::from(self.latency_us(0.90))),
-                    ("p99", Json::from(self.latency_us(0.99))),
-                    ("p999", Json::from(self.latency_us(0.999))),
-                    ("max", Json::from(self.latency_us(1.0))),
-                ]),
-            ),
+            ("latency_us", self.latency_summary().to_json()),
             ("shed_rate", Json::from(self.shed_rate())),
             ("cache_hit_rate", Json::from(self.cache_hit_rate())),
         ])
@@ -279,14 +254,14 @@ struct Tally {
 pub fn run_load(cfg: &LoadConfig) -> io::Result<LoadReport> {
     let next_id = Arc::new(AtomicUsize::new(0));
     let tally = Arc::new(Tally::default());
-    let latencies = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let latency = Arc::new(LogLinearHistogram::new());
     let started = Instant::now();
     let mut threads = Vec::new();
     for thread_idx in 0..cfg.concurrency.max(1) {
         let cfg = cfg.clone();
         let next_id = Arc::clone(&next_id);
         let tally = Arc::clone(&tally);
-        let latencies = Arc::clone(&latencies);
+        let latency = Arc::clone(&latency);
         threads.push(std::thread::spawn(move || -> io::Result<()> {
             let mut client = ServeClient::connect(&cfg.addr)?;
             let mut rng = ChaCha12Rng::seed_from_u64(cfg.seed.wrapping_add(thread_idx as u64));
@@ -311,7 +286,7 @@ pub fn run_load(cfg: &LoadConfig) -> io::Result<LoadReport> {
                     }
                 };
                 let micros = sent_at.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-                latencies.lock().expect("latency vec poisoned").push(micros);
+                latency.record(micros);
                 let counter = match response_status(&outcome.response) {
                     status::OK => &tally.ok,
                     status::SHED => &tally.shed,
@@ -342,11 +317,6 @@ pub fn run_load(cfg: &LoadConfig) -> io::Result<LoadReport> {
         client.call(&request).ok().map(|outcome| outcome.response)
     });
 
-    let mut latencies = Arc::try_unwrap(latencies)
-        .expect("latency vec has one owner")
-        .into_inner()
-        .expect("latency vec poisoned");
-    latencies.sort_unstable();
     Ok(LoadReport {
         sent: tally.sent.load(Ordering::Relaxed),
         ok: tally.ok.load(Ordering::Relaxed),
@@ -354,7 +324,7 @@ pub fn run_load(cfg: &LoadConfig) -> io::Result<LoadReport> {
         shed: tally.shed.load(Ordering::Relaxed),
         deadline_exceeded: tally.deadline_exceeded.load(Ordering::Relaxed),
         interrupted: tally.interrupted.load(Ordering::Relaxed),
-        latencies_us: latencies,
+        latency: latency.snapshot(),
         elapsed_ms,
         server_stats,
     })
@@ -438,6 +408,62 @@ pub fn run_fixed(addr: &str) -> io::Result<Vec<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lockbind_obs::{bucket_index, bucket_upper};
+
+    fn report(latency: HistSnapshot, server_stats: Option<Json>) -> LoadReport {
+        LoadReport {
+            sent: latency.count(),
+            ok: latency.count(),
+            error: 0,
+            shed: 0,
+            deadline_exceeded: 0,
+            interrupted: 0,
+            latency,
+            elapsed_ms: 1000.0,
+            server_stats,
+        }
+    }
+
+    #[test]
+    fn latency_quantiles_are_nearest_rank() {
+        let h = LogLinearHistogram::new();
+        for v in 1..=1000u64 {
+            h.record(v);
+        }
+        let r = report(h.snapshot(), None);
+        let lat = r.latency_summary();
+        // Nearest-rank p50 of 1..=1000 is the 500th value, 500.
+        assert_eq!(lat.p50, bucket_upper(bucket_index(500)));
+        assert_eq!(lat.max, bucket_upper(bucket_index(1000)));
+        assert_eq!(lat.count, 1000);
+        let doc = r.to_json(&LoadConfig::default());
+        let json_lat = doc.get("latency_us").expect("latency_us");
+        assert_eq!(json_lat.get("p50").and_then(Json::as_u64), Some(lat.p50));
+        assert_eq!(json_lat.get("max").and_then(Json::as_u64), Some(lat.max));
+        assert_eq!(doc.get("schema_version").and_then(Json::as_u64), Some(3));
+    }
+
+    #[test]
+    fn cache_hit_rate_reads_the_stats_document() {
+        let stats = |text: &str| Some(crate::jsonin::parse(text.as_bytes()).expect("parses"));
+        let empty = HistSnapshot::empty();
+        let r = report(
+            empty.clone(),
+            stats(r#"{"id":1,"status":"ok","result":{"cache":{"hits":3,"misses":1,"entries":4}}}"#),
+        );
+        assert_eq!(r.cache_hit_rate(), 0.75);
+        let idle = report(
+            empty.clone(),
+            stats(r#"{"id":1,"status":"ok","result":{"cache":{"hits":0,"misses":0}}}"#),
+        );
+        assert_eq!(idle.cache_hit_rate(), 0.0, "hits + misses = 0");
+        let no_cache = report(
+            empty.clone(),
+            stats(r#"{"id":1,"status":"ok","result":{}}"#),
+        );
+        assert_eq!(no_cache.cache_hit_rate(), 0.0);
+        assert_eq!(report(empty, None).cache_hit_rate(), 0.0);
+    }
 
     #[test]
     fn pareto_gaps_are_seeded_and_heavy_tailed() {

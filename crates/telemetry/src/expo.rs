@@ -24,9 +24,8 @@
 
 use std::fmt::Write as _;
 
-use lockbind_obs::MetricsSnapshot;
+use lockbind_obs::{HistSnapshot, MetricsSnapshot};
 
-use crate::hist::HistSnapshot;
 use crate::TelemetrySnapshot;
 
 /// `le` ladder (µs) for the exposed latency histogram. Bounds are

@@ -12,8 +12,9 @@
 //!
 //! Layout:
 //!
-//! - [`hist`] — lock-free log-linear histograms (p50/p90/p99/p999) with
-//!   ring-of-epochs windowed decay;
+//! - [`WindowedHistogram`] — a ring of epochs of the `obs` crate's
+//!   lock-free log-linear histogram (p50/p90/p99/p999 with windowed
+//!   decay);
 //! - [`slo`] — per-tenant SLO trackers: latency objective + error/shed
 //!   budget, burn rate over a short and a long window;
 //! - [`recorder`] — the flight recorder: a bounded ring of structured
@@ -31,7 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod expo;
-pub mod hist;
 pub mod recorder;
 pub mod slo;
 
@@ -41,9 +41,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
-use lockbind_obs::Json;
-
-use hist::{HistSnapshot, LogLinearHistogram, WindowedHistogram};
+use lockbind_obs::{HistSnapshot, Json, LogLinearHistogram};
 use recorder::{DumpTrigger, FlightKind, FlightRecorder};
 use slo::{SloOutcome, SloSnapshot, SloTracker};
 
@@ -89,35 +87,66 @@ impl Default for TelemetryConfig {
     }
 }
 
-/// A small ring of per-epoch counters (windowed request/shed rates).
+/// A ring of epoch histograms: records go to the current epoch, reads
+/// merge the whole ring, [`rotate`](Self::rotate) expires the oldest.
+///
+/// A snapshot therefore covers the last `slots × epoch-length` of
+/// traffic, and old observations fall out whole epochs at a time. A
+/// record racing a rotation may land in the slot being cleared and be
+/// lost; telemetry tolerates that one-in-an-epoch blip in exchange for
+/// staying lock-free.
 #[derive(Debug)]
-struct WindowedCounter {
-    epochs: Vec<AtomicU64>,
+pub struct WindowedHistogram {
+    epochs: Vec<LogLinearHistogram>,
     current: AtomicUsize,
 }
 
-impl WindowedCounter {
-    fn new(slots: usize) -> Self {
-        WindowedCounter {
-            epochs: (0..slots.max(1)).map(|_| AtomicU64::new(0)).collect(),
+impl WindowedHistogram {
+    /// A window of `slots` epochs (at least 1).
+    pub fn new(slots: usize) -> Self {
+        WindowedHistogram {
+            epochs: (0..slots.max(1))
+                .map(|_| LogLinearHistogram::new())
+                .collect(),
             current: AtomicUsize::new(0),
         }
     }
 
-    fn add(&self, n: u64) {
+    /// Records one observation into the current epoch.
+    pub fn record(&self, v: u64) {
         let cur = self.current.load(Ordering::Relaxed) % self.epochs.len();
-        self.epochs[cur].fetch_add(n, Ordering::Relaxed);
+        self.epochs[cur].record(v);
     }
 
-    fn rotate(&self) {
+    /// Advances the epoch cursor, clearing the slot it lands on (which
+    /// held the oldest epoch). Call on a fixed cadence from one thread.
+    pub fn rotate(&self) {
         let next = (self.current.load(Ordering::Relaxed) + 1) % self.epochs.len();
-        self.epochs[next].store(0, Ordering::Relaxed);
+        self.epochs[next].clear();
         self.current.store(next, Ordering::Relaxed);
     }
 
-    fn sum(&self) -> u64 {
-        self.epochs.iter().map(|e| e.load(Ordering::Relaxed)).sum()
+    /// The merged histogram over the whole window.
+    pub fn snapshot(&self) -> HistSnapshot {
+        let mut acc = HistSnapshot::empty();
+        for epoch in &self.epochs {
+            epoch.accumulate(&mut acc);
+        }
+        acc
     }
+}
+
+/// An admission ring: a good/bad [`SloTracker`] where an admit is good
+/// and a shed is bad, so its long window's `total` counts arrivals and
+/// `bad` counts sheds, and `burning(1.0)` fires exactly when the
+/// windowed shed fraction exceeds [`TelemetryConfig::shed_spike_fraction`].
+fn admission_tracker(cfg: &TelemetryConfig) -> SloTracker {
+    SloTracker::new(
+        cfg.epoch_slots,
+        cfg.short_epochs,
+        1.0 - cfg.shed_spike_fraction,
+        u64::MAX,
+    )
 }
 
 /// Per-tenant runtime state.
@@ -133,8 +162,8 @@ struct TenantTelemetry {
     errors: AtomicU64,
     shed: AtomicU64,
     inflight: AtomicU64,
-    window_requests: WindowedCounter,
-    window_shed: WindowedCounter,
+    /// Windowed admits and sheds ([`admission_tracker`]).
+    admission: SloTracker,
 }
 
 impl TenantTelemetry {
@@ -153,16 +182,14 @@ impl TenantTelemetry {
             errors: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             inflight: AtomicU64::new(0),
-            window_requests: WindowedCounter::new(cfg.epoch_slots),
-            window_shed: WindowedCounter::new(cfg.epoch_slots),
+            admission: admission_tracker(cfg),
         }
     }
 
     fn rotate(&self) {
         self.latency_window.rotate();
         self.slo.rotate();
-        self.window_requests.rotate();
-        self.window_shed.rotate();
+        self.admission.rotate();
     }
 }
 
@@ -176,9 +203,8 @@ pub struct Telemetry {
     latency_window: WindowedHistogram,
     /// Global cumulative latency (monotone, for exposition).
     latency_total: LogLinearHistogram,
-    /// Shed-spike detector: an SLO tracker where "bad" means shed, so
-    /// `burning(1.0)` fires exactly when the windowed shed fraction
-    /// exceeds [`TelemetryConfig::shed_spike_fraction`].
+    /// Shed-spike detector: the admission ring ([`admission_tracker`])
+    /// over all tenants.
     shed_spike: SloTracker,
     recorder: FlightRecorder,
     /// Serializes anomaly-triggered dumps so concurrent pollers cannot
@@ -194,12 +220,7 @@ pub struct Telemetry {
 impl Telemetry {
     /// A fresh hub with no traffic recorded.
     pub fn new(cfg: TelemetryConfig) -> Self {
-        let shed_spike = SloTracker::new(
-            cfg.epoch_slots,
-            cfg.short_epochs,
-            1.0 - cfg.shed_spike_fraction,
-            u64::MAX,
-        );
+        let shed_spike = admission_tracker(&cfg);
         Telemetry {
             recorder: FlightRecorder::new(cfg.flight_capacity),
             latency_window: WindowedHistogram::new(cfg.epoch_slots),
@@ -247,7 +268,7 @@ impl Telemetry {
         let t = self.tenant(tenant);
         t.requests.fetch_add(1, Ordering::Relaxed);
         t.inflight.fetch_add(1, Ordering::Relaxed);
-        t.window_requests.add(1);
+        t.admission.record(SloOutcome::Good);
         self.shed_spike.record(SloOutcome::Good);
         self.recorder
             .record(FlightKind::Admit, request_id, tenant, "");
@@ -258,8 +279,7 @@ impl Telemetry {
         let t = self.tenant(tenant);
         t.requests.fetch_add(1, Ordering::Relaxed);
         t.shed.fetch_add(1, Ordering::Relaxed);
-        t.window_requests.add(1);
-        t.window_shed.add(1);
+        t.admission.record(SloOutcome::Bad);
         t.slo.record(SloOutcome::Bad);
         self.shed_spike.record(SloOutcome::Bad);
         self.recorder
@@ -360,18 +380,21 @@ impl Telemetry {
             .read()
             .unwrap()
             .iter()
-            .map(|(name, t)| TenantSnapshot {
-                tenant: name.clone(),
-                requests: t.requests.load(Ordering::Relaxed),
-                ok: t.ok.load(Ordering::Relaxed),
-                errors: t.errors.load(Ordering::Relaxed),
-                shed: t.shed.load(Ordering::Relaxed),
-                inflight: t.inflight.load(Ordering::Relaxed),
-                window_requests: t.window_requests.sum(),
-                window_shed: t.window_shed.sum(),
-                latency_window: t.latency_window.snapshot(),
-                latency_total: t.latency_total.snapshot(),
-                slo: t.slo.snapshot(),
+            .map(|(name, t)| {
+                let admission = t.admission.snapshot();
+                TenantSnapshot {
+                    tenant: name.clone(),
+                    requests: t.requests.load(Ordering::Relaxed),
+                    ok: t.ok.load(Ordering::Relaxed),
+                    errors: t.errors.load(Ordering::Relaxed),
+                    shed: t.shed.load(Ordering::Relaxed),
+                    inflight: t.inflight.load(Ordering::Relaxed),
+                    window_requests: admission.total,
+                    window_shed: admission.bad,
+                    latency_window: t.latency_window.snapshot(),
+                    latency_total: t.latency_total.snapshot(),
+                    slo: t.slo.snapshot(),
+                }
             })
             .collect();
         TelemetrySnapshot {
@@ -671,6 +694,57 @@ mod tests {
         ] {
             assert!(doc.contains(key), "missing {key} in {doc}");
         }
+    }
+
+    #[test]
+    fn windowed_rotation_expires_old_epochs() {
+        let w = WindowedHistogram::new(3);
+        w.record(100);
+        assert_eq!(w.snapshot().count(), 1);
+        w.rotate();
+        w.record(200);
+        assert_eq!(w.snapshot().count(), 2, "window covers both epochs");
+        w.rotate();
+        w.rotate(); // cursor returns to (and clears) the slot holding 100
+        assert_eq!(w.snapshot().count(), 1, "first epoch expired");
+        w.rotate();
+        assert_eq!(w.snapshot().count(), 0, "second epoch expired");
+    }
+
+    #[test]
+    fn window_counts_track_admits_sheds_and_decay() {
+        let cfg = fast_cfg();
+        let slots = cfg.epoch_slots;
+        let t = Telemetry::new(cfg);
+        for id in 0..5u64 {
+            t.on_admit(id, "alpha");
+        }
+        for id in 5..7u64 {
+            t.on_shed(id, "alpha", "queue_full");
+        }
+        let alpha = t.snapshot().tenants[0].clone();
+        assert_eq!((alpha.window_requests, alpha.window_shed), (7, 2));
+        t.rotate();
+        t.on_shed(7, "alpha", "queue_full");
+        let alpha = t.snapshot().tenants[0].clone();
+        assert_eq!(
+            (alpha.window_requests, alpha.window_shed),
+            (8, 3),
+            "the window spans epochs"
+        );
+        let doc = alpha.to_json().render();
+        assert!(doc.contains("\"window_requests\":8"), "{doc}");
+        assert!(doc.contains("\"window_shed\":3"), "{doc}");
+        for _ in 0..=slots {
+            t.rotate();
+        }
+        let alpha = t.snapshot().tenants[0].clone();
+        assert_eq!((alpha.window_requests, alpha.window_shed), (0, 0));
+        assert_eq!(
+            (alpha.requests, alpha.shed),
+            (8, 3),
+            "totals are cumulative"
+        );
     }
 
     #[test]
