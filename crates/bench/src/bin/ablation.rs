@@ -16,7 +16,7 @@
 //! with the documented deviations); `--threads` controls the pool.
 //!
 //! Usage: `cargo run -p lockbind-bench --release --bin ablation --
-//! [--threads N] [--json PATH] [--fail-fast]`
+//! [--threads N] [--fail-fast] [--trace PATH] [--profile]`
 
 use lockbind_bench::grid::cached_prepared;
 use lockbind_bench::report::render_table;
@@ -301,6 +301,10 @@ fn switching_baselines(engine: &Engine) -> Result<(), Vec<(String, String)>> {
 
 fn main() {
     let args = EngineArgs::parse("ablation");
+    if args.json.is_some() {
+        eprintln!("ablation: --json is not supported: its three engine runs have no single metrics report");
+        std::process::exit(2);
+    }
     // One obs session spans all three engine runs of the ablation.
     let obs = args.obs_session();
     let engine = Engine::new(args.engine_config());
@@ -318,15 +322,5 @@ fn main() {
         all_failures.extend(f);
     }
 
-    if let Err(e) = obs.finish() {
-        eprintln!("ablation: cannot write trace: {e}");
-        std::process::exit(2);
-    }
-    if !all_failures.is_empty() {
-        eprintln!("[ablation] {} cells FAILED:", all_failures.len());
-        for (cell, message) in &all_failures {
-            eprintln!("  {cell}: {message}");
-        }
-        std::process::exit(1);
-    }
+    args.finish("ablation", obs, None, &all_failures);
 }

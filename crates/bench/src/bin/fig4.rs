@@ -85,23 +85,5 @@ fn main() {
         println!("{}", render_table(&headers, &rows));
     }
 
-    eprintln!("[fig4] {}", report.metrics.summary());
-    if let Some(path) = &args.json {
-        if let Err(e) = report.metrics.write_json(path) {
-            eprintln!("fig4: cannot write metrics to {}: {e}", path.display());
-            std::process::exit(2);
-        }
-        eprintln!("[fig4] metrics written to {}", path.display());
-    }
-    if let Err(e) = obs.finish() {
-        eprintln!("fig4: cannot write trace: {e}");
-        std::process::exit(2);
-    }
-    if !failures.is_empty() {
-        eprintln!("[fig4] {} cells FAILED:", failures.len());
-        for (cell, message) in &failures {
-            eprintln!("  {cell}: {message}");
-        }
-        std::process::exit(1);
-    }
+    args.finish("fig4", obs, Some(&report.metrics), &failures);
 }

@@ -92,23 +92,5 @@ fn main() {
     );
     println!("(registers vs area-aware binding; switching rate vs power-aware binding)");
 
-    eprintln!("[fig6] {}", report.metrics.summary());
-    if let Some(path) = &args.json {
-        if let Err(e) = report.metrics.write_json(path) {
-            eprintln!("fig6: cannot write metrics to {}: {e}", path.display());
-            std::process::exit(2);
-        }
-        eprintln!("[fig6] metrics written to {}", path.display());
-    }
-    if let Err(e) = obs.finish() {
-        eprintln!("fig6: cannot write trace: {e}");
-        std::process::exit(2);
-    }
-    if !failures.is_empty() {
-        eprintln!("[fig6] {} cells FAILED:", failures.len());
-        for (cell, message) in &failures {
-            eprintln!("  {cell}: {message}");
-        }
-        std::process::exit(1);
-    }
+    args.finish("fig6", obs, Some(&report.metrics), &failures);
 }

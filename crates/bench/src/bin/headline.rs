@@ -5,8 +5,7 @@
 //! * binding-obfuscation co-design: 82x vs area, 115x vs power (99x),
 //! * the P-time heuristic degrades the optimal co-design solution by <0.5%.
 //!
-//! Runs on the execution engine and always writes its run metrics to
-//! `results/BENCH_headline.json` (override the path with `--json`).
+//! Runs on the execution engine; `--json PATH` writes its run metrics.
 //!
 //! This is the canonical observability entry point: its combined grid also
 //! runs one end-to-end locked-simulation cell per kernel and one SAT-attack
@@ -16,8 +15,6 @@
 //! Usage: `cargo run -p lockbind-bench --release --bin headline --
 //! [FRAMES] [SEED] [--threads N] [--json PATH] [--fail-fast]
 //! [--trace PATH] [--profile]`
-
-use std::path::PathBuf;
 
 use lockbind_bench::errors_experiment::geomean;
 use lockbind_bench::{collect_headline_records, headline_grid, ExperimentParams, SecurityAlgo};
@@ -137,28 +134,5 @@ fn main() {
         );
     }
 
-    let json_path = args
-        .json
-        .clone()
-        .unwrap_or_else(|| PathBuf::from("results/BENCH_headline.json"));
-    if let Err(e) = report.metrics.write_json(&json_path) {
-        eprintln!(
-            "headline: cannot write metrics to {}: {e}",
-            json_path.display()
-        );
-        std::process::exit(2);
-    }
-    eprintln!("[headline] {}", report.metrics.summary());
-    eprintln!("[headline] metrics written to {}", json_path.display());
-    if let Err(e) = obs.finish() {
-        eprintln!("headline: cannot write trace: {e}");
-        std::process::exit(2);
-    }
-    if !failures.is_empty() {
-        eprintln!("[headline] {} cells FAILED:", failures.len());
-        for (cell, message) in &failures {
-            eprintln!("  {cell}: {message}");
-        }
-        std::process::exit(1);
-    }
+    args.finish("headline", obs, Some(&report.metrics), &failures);
 }

@@ -1,165 +1,60 @@
-//! CDCL solver workload benchmark: runs the full oracle-guided SAT attack
-//! against the locking schemes whose resilience sweeps dominate benchmark
-//! wall-clock (point-function / Anti-SAT locks, plus RLL and permutation
-//! controls), and records conflicts / propagations / wall-clock per scheme
-//! to `results/BENCH_solver.json` next to the frozen pre-modernization
-//! baseline, so solver speedups are pinned by data instead of asserted.
+//! CDCL solver smoke bench: runs the full oracle-guided SAT attack against
+//! a reduced grid of the locking schemes whose resilience sweeps dominate
+//! benchmark wall-clock (point-function / Anti-SAT locks, plus RLL and
+//! permutation controls) and prints their deterministic verdict table
+//! (work counts only, no wall clock). CI diffs it against
+//! `results/BENCH_solver_smoke.txt`, so a changed search path shows up as
+//! a diff. Wall-clock solver numbers come from perfbench's `attack`
+//! workload.
 //!
-//! Wall-clock is the minimum over `--repeats` runs (minimum, not mean: the
-//! solver is deterministic, so the fastest run is the one with the least
-//! scheduler noise). Stdout prints only deterministic work counts; timing
-//! goes to the JSON file and stderr.
-//!
-//! Usage: `cargo run -p lockbind-bench --release --bin solver_bench --
-//! [--smoke] [--repeats N] [--json PATH] [--only WORKLOAD]`
-//!
-//! `--smoke` runs a reduced grid (width-3 operands, one repeat) and prints
-//! the deterministic verdict summary CI diffs against
-//! `results/BENCH_solver_smoke.txt`.
+//! Usage: `cargo run -p lockbind-bench --release --bin solver_bench`
+//! (no arguments).
 
-use std::path::PathBuf;
-use std::time::Instant;
-
-use lockbind_attacks::{sat_attack, AttackConfig, SatAttackOutcome};
+use lockbind_attacks::{sat_attack, AttackConfig};
 use lockbind_bench::report::render_table;
 use lockbind_locking::{
     lock_anti_sat, lock_critical_minterms, lock_permutation, lock_rll, LockedNetlist,
 };
 use lockbind_netlist::builders::adder_fu;
-use lockbind_obs::json::Json;
 
-/// The frozen pre-modernization reference (MiniSat-2005-style solver,
-/// commit `0ebabe9`, this machine, release build, minimum of 3 runs of the
-/// full grid). Regenerate only when intentionally re-baselining:
-/// these numbers are what "the solver got faster" is measured against.
-const BASELINE: &[(&str, f64, u64, u64)] = &[
-    // (workload, wall_ms, conflicts, propagations)
-    ("point-function", 78198.12, 18374, 367105456),
-    ("anti-sat", 21146.12, 2430, 75481535),
-    ("rll", 0.77, 143, 3817),
-    ("permutation", 77.35, 4367, 449426),
-];
-
-struct Workload {
-    name: &'static str,
-    lock: fn(smoke: bool) -> LockedNetlist,
-}
-
-fn workloads() -> Vec<Workload> {
-    vec![
-        Workload {
-            name: "point-function",
-            lock: |smoke| {
-                let w = if smoke { 3 } else { 5 };
-                lock_critical_minterms(&adder_fu(w), &[5, 11, 23]).expect("lockable")
-            },
-        },
-        Workload {
-            name: "anti-sat",
-            lock: |smoke| lock_anti_sat(&adder_fu(if smoke { 3 } else { 5 })).expect("lockable"),
-        },
-        Workload {
-            name: "rll",
-            lock: |smoke| {
-                let (w, gates) = if smoke { (3, 6) } else { (6, 12) };
-                lock_rll(&adder_fu(w), gates, 42).expect("lockable")
-            },
-        },
-        Workload {
-            name: "permutation",
-            lock: |smoke| {
-                lock_permutation(&adder_fu(if smoke { 3 } else { 4 }), 4).expect("lockable")
-            },
-        },
+/// The reduced grid: width-3 adders under each scheme family.
+fn workloads() -> [(&'static str, LockedNetlist); 4] {
+    let fu = adder_fu(3);
+    [
+        (
+            "point-function",
+            lock_critical_minterms(&fu, &[5, 11, 23]).expect("lockable"),
+        ),
+        ("anti-sat", lock_anti_sat(&fu).expect("lockable")),
+        ("rll", lock_rll(&fu, 6, 42).expect("lockable")),
+        ("permutation", lock_permutation(&fu, 4).expect("lockable")),
     ]
 }
 
-struct Measurement {
-    name: &'static str,
-    wall_ms: f64,
-    outcome: SatAttackOutcome,
-}
-
-fn measure(w: &Workload, smoke: bool, repeats: u32) -> Measurement {
-    let mut best: Option<(f64, SatAttackOutcome)> = None;
-    for _ in 0..repeats.max(1) {
-        let locked = (w.lock)(smoke);
-        let started = Instant::now();
-        let out = sat_attack(&locked, &AttackConfig::default());
-        let ms = started.elapsed().as_secs_f64() * 1e3;
-        if best.as_ref().is_none_or(|(b, _)| ms < *b) {
-            best = Some((ms, out));
-        }
-    }
-    let (wall_ms, outcome) = best.expect("at least one repeat");
-    Measurement {
-        name: w.name,
-        wall_ms,
-        outcome,
-    }
-}
-
 fn main() {
-    let mut smoke = false;
-    let mut repeats = 3u32;
-    let mut only = String::new();
-    let mut json_path = PathBuf::from("results/BENCH_solver.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--repeats" => {
-                repeats = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--repeats needs a positive integer");
-            }
-            "--json" => {
-                json_path = args.next().map(PathBuf::from).expect("--json needs a path");
-            }
-            "--only" => {
-                only = args.next().expect("--only needs a workload name");
-            }
-            other => {
-                eprintln!("solver_bench: unknown argument {other:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if smoke {
-        repeats = 1;
-    }
-
-    let measurements: Vec<Measurement> = workloads()
-        .iter()
-        .filter(|w| only.is_empty() || w.name == only)
-        .map(|w| measure(w, smoke, repeats))
-        .collect();
-    if measurements.is_empty() {
-        eprintln!("solver_bench: no workload matches --only {only:?}");
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("solver_bench: unexpected argument {arg:?} (it takes none)");
         std::process::exit(2);
     }
 
-    // Deterministic verdict summary (work counts only — no wall clock), the
-    // golden surface CI diffs.
-    let mut rows = Vec::new();
-    for m in &measurements {
-        let st = m.outcome.solver_stats;
-        rows.push(vec![
-            m.name.to_string(),
-            if m.outcome.success { "yes" } else { "no" }.to_string(),
-            m.outcome.iterations.to_string(),
-            st.conflicts.to_string(),
-            st.propagations.to_string(),
-            st.decisions.to_string(),
-            st.restarts.to_string(),
-            st.gc_runs.to_string(),
-        ]);
-    }
-    println!(
-        "solver workload verdicts ({} grid):",
-        if smoke { "smoke" } else { "full" }
-    );
+    let rows: Vec<Vec<String>> = workloads()
+        .iter()
+        .map(|(name, locked)| {
+            let out = sat_attack(locked, &AttackConfig::default());
+            let st = out.solver_stats;
+            vec![
+                name.to_string(),
+                if out.success { "yes" } else { "no" }.to_string(),
+                out.iterations.to_string(),
+                st.conflicts.to_string(),
+                st.propagations.to_string(),
+                st.decisions.to_string(),
+                st.restarts.to_string(),
+                st.gc_runs.to_string(),
+            ]
+        })
+        .collect();
+    println!("solver workload verdicts (smoke grid):");
     println!(
         "{}",
         render_table(
@@ -176,90 +71,4 @@ fn main() {
             &rows
         )
     );
-
-    for m in &measurements {
-        let st = m.outcome.solver_stats;
-        eprintln!(
-            "[solver_bench] {:<16} {:8.2} ms  visits {}  blocker hit-rate {:.3}",
-            m.name,
-            m.wall_ms,
-            st.watcher_visits,
-            st.blocker_hit_rate()
-        );
-    }
-
-    if smoke {
-        return;
-    }
-
-    let current: Vec<Json> = measurements
-        .iter()
-        .map(|m| {
-            let st = m.outcome.solver_stats;
-            Json::obj([
-                ("workload", Json::from(m.name)),
-                ("wall_ms", Json::Float(m.wall_ms)),
-                ("iterations", Json::UInt(m.outcome.iterations)),
-                ("conflicts", Json::UInt(st.conflicts)),
-                ("propagations", Json::UInt(st.propagations)),
-                ("decisions", Json::UInt(st.decisions)),
-                ("restarts", Json::UInt(st.restarts)),
-                ("gc_runs", Json::UInt(st.gc_runs)),
-                ("watcher_visits", Json::UInt(st.watcher_visits)),
-                ("blocker_hits", Json::UInt(st.blocker_hits)),
-                ("blocker_hit_rate", Json::Float(st.blocker_hit_rate())),
-                (
-                    "glue_hist",
-                    Json::arr(st.glue_hist.iter().map(|&c| Json::from(c))),
-                ),
-                ("success", Json::Bool(m.outcome.success)),
-            ])
-        })
-        .collect();
-
-    let baseline: Vec<Json> = BASELINE
-        .iter()
-        .map(|&(name, wall_ms, conflicts, propagations)| {
-            Json::obj([
-                ("workload", Json::from(name)),
-                ("wall_ms", Json::Float(wall_ms)),
-                ("conflicts", Json::UInt(conflicts)),
-                ("propagations", Json::UInt(propagations)),
-            ])
-        })
-        .collect();
-
-    let speedups: Vec<Json> = measurements
-        .iter()
-        .filter_map(|m| {
-            let (_, base_wall, _, base_props) =
-                BASELINE.iter().find(|(n, ..)| *n == m.name).copied()?;
-            let st = m.outcome.solver_stats;
-            Json::obj([
-                ("workload", Json::from(m.name)),
-                ("wall_speedup", Json::Float(base_wall / m.wall_ms)),
-                (
-                    "propagation_reduction",
-                    Json::Float(1.0 - st.propagations as f64 / base_props as f64),
-                ),
-            ])
-            .into()
-        })
-        .collect();
-
-    let doc = Json::obj([
-        ("schema_version", Json::UInt(1)),
-        ("baseline_commit", Json::from("0ebabe9")),
-        ("baseline", Json::Array(baseline)),
-        ("current", Json::Array(current)),
-        ("speedup", Json::Array(speedups)),
-    ]);
-    if let Some(parent) = json_path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    if let Err(e) = std::fs::write(&json_path, doc.render() + "\n") {
-        eprintln!("solver_bench: cannot write {}: {e}", json_path.display());
-        std::process::exit(2);
-    }
-    eprintln!("[solver_bench] results written to {}", json_path.display());
 }

@@ -17,7 +17,9 @@
 //! `--profile` prints a per-stage profile table to stderr at exit; both
 //! are serviced by [`EngineArgs::obs_session`] /
 //! [`ObsSession::finish`], which every figure binary calls around its
-//! engine runs.
+//! engine runs. [`EngineArgs::finish`] is the binaries' one shared
+//! epilogue: metrics summary, the `--json` metrics write, the obs session's
+//! finish and the failed-cell exit code.
 //!
 //! The resilience knobs map onto [`EngineConfig`]: `--cell-timeout` sets
 //! the per-attempt deadline, `--retries`/`--retry-backoff-ms` the retry
@@ -34,6 +36,7 @@ use std::time::{Duration, Instant};
 use lockbind_obs as obs;
 use lockbind_resil::{FaultPlan, RetryPolicy};
 
+use crate::metrics::RunMetrics;
 use crate::pool::EngineConfig;
 
 /// Parsed engine-binary arguments.
@@ -255,6 +258,43 @@ impl EngineArgs {
             collector,
             before: obs::Registry::global().snapshot(),
             started: Instant::now(),
+        }
+    }
+
+    /// The shared end of an engine binary's run, called after its stdout:
+    /// prints `metrics`' summary line and writes them to `--json` (if
+    /// given), finishes `obs`, then lists the failed cells. Exits 2 when an
+    /// output cannot be written and 1 when any cell failed.
+    ///
+    /// Pass `metrics: None` when the binary has no single metrics report
+    /// (`ablation`); such a binary must reject `--json` up front.
+    pub fn finish(
+        &self,
+        bin: &str,
+        obs: ObsSession,
+        metrics: Option<&RunMetrics>,
+        failures: &[(String, String)],
+    ) {
+        if let Some(metrics) = metrics {
+            eprintln!("[{bin}] {}", metrics.summary());
+            if let Some(path) = &self.json {
+                if let Err(e) = metrics.write_json(path) {
+                    eprintln!("{bin}: cannot write metrics to {}: {e}", path.display());
+                    std::process::exit(2);
+                }
+                eprintln!("[{bin}] metrics written to {}", path.display());
+            }
+        }
+        if let Err(e) = obs.finish() {
+            eprintln!("{bin}: cannot write trace: {e}");
+            std::process::exit(2);
+        }
+        if !failures.is_empty() {
+            eprintln!("[{bin}] {} cells FAILED:", failures.len());
+            for (cell, message) in failures {
+                eprintln!("  {cell}: {message}");
+            }
+            std::process::exit(1);
         }
     }
 }
