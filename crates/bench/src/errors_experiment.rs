@@ -216,29 +216,9 @@ pub fn run_error_cell_cancellable(
     if locked_fus == 0 || locked_fus > max_fus || locked_inputs == 0 || locked_inputs > max_inputs {
         return Ok(Vec::new());
     }
-    let fus: Vec<FuId> = (0..locked_fus).map(|i| FuId::new(ctx.class, i)).collect();
-    let mut records = obf_aware_cell(
-        prepared,
-        params,
-        ctx.class,
-        &fus,
-        locked_inputs,
-        &ctx.candidates,
-        &ctx.area,
-        &ctx.power,
-        cancel,
-    )?;
-    records.extend(codesign_cell(
-        prepared,
-        params,
-        ctx.class,
-        &fus,
-        locked_inputs,
-        &ctx.candidates,
-        &ctx.area,
-        &ctx.power,
-        cancel,
-    )?);
+    let setup = CellSetup::new(prepared, ctx, params, locked_fus, locked_inputs);
+    let mut records = obf_aware_cell(prepared, ctx, &setup, cancel)?;
+    records.extend(codesign_cell(prepared, ctx, params, &setup, cancel)?);
     Ok(records)
 }
 
@@ -349,51 +329,86 @@ fn baseline_tables(
         .collect()
 }
 
+/// The locking-configuration context both halves of a cell share, built
+/// once per cell: the locked FUs, the combination list, the assignments
+/// scored and the per-slot baseline tables.
+struct CellSetup {
+    fus: Vec<FuId>,
+    locked_inputs: usize,
+    combos: Vec<Vec<usize>>,
+    assignments: Vec<Vec<usize>>,
+    /// [`baseline_tables`] of the area-aware binding.
+    t_area: Vec<Vec<u64>>,
+    /// [`baseline_tables`] of the power-aware binding.
+    t_power: Vec<Vec<u64>>,
+}
+
+impl CellSetup {
+    fn new(
+        prepared: &PreparedKernel,
+        ctx: &ClassContext,
+        params: &ExperimentParams,
+        locked_fus: usize,
+        locked_inputs: usize,
+    ) -> CellSetup {
+        let fus: Vec<FuId> = (0..locked_fus).map(|i| FuId::new(ctx.class, i)).collect();
+        let combos = combinations(ctx.candidates.len(), locked_inputs);
+        let assignments = enumerate_assignments(params, fus.len(), combos.len(), locked_inputs);
+        let profile = &prepared.profile;
+        let t_area = baseline_tables(profile, &ctx.area, &fus, &combos, &ctx.candidates);
+        let t_power = baseline_tables(profile, &ctx.power, &fus, &combos, &ctx.candidates);
+        CellSetup {
+            fus,
+            locked_inputs,
+            combos,
+            assignments,
+            t_area,
+            t_power,
+        }
+    }
+
+    /// Baseline errors of one assignment under a per-slot table.
+    fn baseline(table: &[Vec<u64>], assign: &[usize]) -> u64 {
+        assign.iter().enumerate().map(|(k, &ci)| table[k][ci]).sum()
+    }
+}
+
 /// Obfuscation-aware cell: enumerate (or sample) combination assignments,
 /// score each with obf-aware binding, and compare against the baselines
 /// locked with the *same* assignment.
 ///
-/// Scoring goes through [`ErrorSweep`] — per assignment only the slots
-/// whose combination differs from the previous assignment update their
-/// warm-started matrix columns, and the per-cycle optima are the exact
-/// errors a cold `bind_obfuscation_aware` + `expected_application_errors`
-/// pair would produce (the `lockbind-check` mutation suite pins this).
-/// Baseline errors come from [`baseline_tables`]. The f64 accumulation
+/// Scoring goes through [`ErrorSweep`] — per assignment only the
+/// subproblems whose columns moved are re-scored (from the sweep's memo
+/// when that state was solved before), and the per-cycle optima are the
+/// exact errors a cold `bind_obfuscation_aware` +
+/// `expected_application_errors` pair would produce (the `lockbind-check`
+/// mutation suite pins this). Baseline errors come from the cell's
+/// [`baseline_tables`], shared with the co-design half. The f64 accumulation
 /// order is unchanged, so every emitted record is byte-identical to the
 /// legacy per-assignment binding loop.
-#[allow(clippy::too_many_arguments)]
 fn obf_aware_cell(
     prepared: &PreparedKernel,
-    params: &ExperimentParams,
-    class: FuClass,
-    fus: &[FuId],
-    locked_inputs: usize,
-    candidates: &[Minterm],
-    area: &Binding,
-    power: &Binding,
+    ctx: &ClassContext,
+    setup: &CellSetup,
     cancel: &CancelToken,
 ) -> Result<Vec<ErrorRecord>, CoreError> {
-    let combos = combinations(candidates.len(), locked_inputs);
-    let assignments = enumerate_assignments(params, fus.len(), combos.len(), locked_inputs);
-    let _span = obs::span!("cell.obf_aware", assignments = assignments.len());
+    let _span = obs::span!("cell.obf_aware", assignments = setup.assignments.len());
 
     let mut sweep = ErrorSweep::new(
         &prepared.dfg,
         &prepared.schedule,
         &prepared.alloc,
         &prepared.profile,
-        fus,
-        candidates,
-        &combos,
+        &setup.fus,
+        &ctx.candidates,
+        &setup.combos,
     )?;
-    let t_area = baseline_tables(&prepared.profile, area, fus, &combos, candidates);
-    let t_power = baseline_tables(&prepared.profile, power, fus, &combos, candidates);
 
     let mut sum_area = 0.0;
     let mut sum_power = 0.0;
     let mut sum_err = 0.0;
-    let n = assignments.len();
-    for assign in &assignments {
+    let n = setup.assignments.len();
+    for assign in &setup.assignments {
         if cancel.is_cancelled() {
             return Err(CoreError::Interrupted {
                 stage: "bench.obf_aware",
@@ -403,16 +418,8 @@ fn obf_aware_cell(
             sweep.set_slot(k, ci);
         }
         let e_obf = sweep.solve_errors()?;
-        let e_area: u64 = assign
-            .iter()
-            .enumerate()
-            .map(|(k, &ci)| t_area[k][ci])
-            .sum();
-        let e_power: u64 = assign
-            .iter()
-            .enumerate()
-            .map(|(k, &ci)| t_power[k][ci])
-            .sum();
+        let e_area = CellSetup::baseline(&setup.t_area, assign);
+        let e_power = CellSetup::baseline(&setup.t_power, assign);
         sum_area += ratio(e_obf, e_area);
         sum_power += ratio(e_obf, e_power);
         sum_err += e_obf as f64;
@@ -420,9 +427,9 @@ fn obf_aware_cell(
 
     Ok(vec![ErrorRecord {
         kernel: prepared.name.clone(),
-        class,
-        locked_fus: fus.len(),
-        locked_inputs,
+        class: ctx.class,
+        locked_fus: setup.fus.len(),
+        locked_inputs: setup.locked_inputs,
         algo: SecurityAlgo::ObfAware,
         vs_area: sum_area / n as f64,
         vs_power: sum_power / n as f64,
@@ -441,51 +448,42 @@ fn obf_aware_cell(
 /// averaged — i.e. "how much better is letting the algorithm pick both the
 /// binding and the inputs than locking a same-shaped configuration after
 /// area/power-aware binding".
-#[allow(clippy::too_many_arguments)]
 fn codesign_cell(
     prepared: &PreparedKernel,
+    ctx: &ClassContext,
     params: &ExperimentParams,
-    class: FuClass,
-    fus: &[FuId],
-    locked_inputs: usize,
-    candidates: &[Minterm],
-    area: &Binding,
-    power: &Binding,
+    setup: &CellSetup,
     cancel: &CancelToken,
 ) -> Result<Vec<ErrorRecord>, CoreError> {
-    let combos = combinations(candidates.len(), locked_inputs);
-    let assignments = enumerate_assignments(params, fus.len(), combos.len(), locked_inputs);
+    let assignments = &setup.assignments;
     let _span = obs::span!("cell.codesign", assignments = assignments.len());
 
     // Baseline error distribution over the enumerated combinations, read
     // off the per-slot tables (one lookup per slot per assignment).
-    let t_area = baseline_tables(&prepared.profile, area, fus, &combos, candidates);
-    let t_power = baseline_tables(&prepared.profile, power, fus, &combos, candidates);
     let mut base_area = Vec::with_capacity(assignments.len());
     let mut base_power = Vec::with_capacity(assignments.len());
-    for assign in &assignments {
+    for assign in assignments {
         if cancel.is_cancelled() {
             return Err(CoreError::Interrupted {
                 stage: "bench.codesign",
             });
         }
-        base_area.push(
-            assign
-                .iter()
-                .enumerate()
-                .map(|(k, &ci)| t_area[k][ci])
-                .sum(),
-        );
-        base_power.push(
-            assign
-                .iter()
-                .enumerate()
-                .map(|(k, &ci)| t_power[k][ci])
-                .sum(),
-        );
+        base_area.push(CellSetup::baseline(&setup.t_area, assign));
+        base_power.push(CellSetup::baseline(&setup.t_power, assign));
     }
     let mean_ratio = |errors: u64, bases: &[u64]| -> f64 {
         bases.iter().map(|&b| ratio(errors, b)).sum::<f64>() / bases.len() as f64
+    };
+    let record = |algo: SecurityAlgo, errors: u64| ErrorRecord {
+        kernel: prepared.name.clone(),
+        class: ctx.class,
+        locked_fus: setup.fus.len(),
+        locked_inputs: setup.locked_inputs,
+        algo,
+        vs_area: mean_ratio(errors, &base_area),
+        vs_power: mean_ratio(errors, &base_power),
+        mean_errors: errors as f64,
+        samples: assignments.len(),
     };
 
     let mut out = Vec::new();
@@ -494,25 +492,15 @@ fn codesign_cell(
         &prepared.schedule,
         &prepared.alloc,
         &prepared.profile,
-        fus,
-        locked_inputs,
-        candidates,
+        &setup.fus,
+        setup.locked_inputs,
+        &ctx.candidates,
         cancel,
     )?;
-    out.push(ErrorRecord {
-        kernel: prepared.name.clone(),
-        class,
-        locked_fus: fus.len(),
-        locked_inputs,
-        algo: SecurityAlgo::CoDesignHeuristic,
-        vs_area: mean_ratio(heur.errors, &base_area),
-        vs_power: mean_ratio(heur.errors, &base_power),
-        mean_errors: heur.errors as f64,
-        samples: assignments.len(),
-    });
+    out.push(record(SecurityAlgo::CoDesignHeuristic, heur.errors));
 
-    let evaluations = (combos.len() as u128)
-        .checked_pow(fus.len() as u32)
+    let evaluations = (setup.combos.len() as u128)
+        .checked_pow(setup.fus.len() as u32)
         .unwrap_or(u128::MAX);
     if evaluations <= params.optimal_budget {
         let opt = codesign_optimal_cancellable(
@@ -520,22 +508,12 @@ fn codesign_cell(
             &prepared.schedule,
             &prepared.alloc,
             &prepared.profile,
-            fus,
-            locked_inputs,
-            candidates,
+            &setup.fus,
+            setup.locked_inputs,
+            &ctx.candidates,
             cancel,
         )?;
-        out.push(ErrorRecord {
-            kernel: prepared.name.clone(),
-            class,
-            locked_fus: fus.len(),
-            locked_inputs,
-            algo: SecurityAlgo::CoDesignOptimal,
-            vs_area: mean_ratio(opt.errors, &base_area),
-            vs_power: mean_ratio(opt.errors, &base_power),
-            mean_errors: opt.errors as f64,
-            samples: assignments.len(),
-        });
+        out.push(record(SecurityAlgo::CoDesignOptimal, opt.errors));
     }
     Ok(out)
 }

@@ -12,13 +12,16 @@
 //! optimal search walks the `C(|C|, m)^{|L|}` product in *Gray-code order*
 //! (Knuth 7.2.1.1 Algorithm H), so exactly one FU's combination — hence one
 //! warm-started matrix column per cycle — changes per step, and prunes
-//! configurations whose certified dual upper bound cannot beat the
-//! incumbent (`codesign.combos_pruned`; evaluated + pruned always equals
-//! the full product, so the counters audit search exhaustiveness). The
+//! configurations whose certified upper bound (the sweep's memoized
+//! optima, else dual bounds) cannot beat the incumbent
+//! (`codesign.combos_pruned`; evaluated + pruned always equals the full
+//! product, so the counters audit search exhaustiveness). The
 //! selected configuration is *identical* to the legacy first-maximum scan:
 //! ties are broken by each configuration's rank in the legacy mixed-radix
 //! iteration order. A final cold [`bind_obfuscation_aware`] solve on the
-//! winner reproduces the byte-exact legacy binding and spec.
+//! winner reproduces the byte-exact legacy binding and spec, and its
+//! realized errors must equal the sweep's score
+//! ([`CoreError::ScoreMismatch`] otherwise, in every build).
 
 use lockbind_hls::{Allocation, Binding, Dfg, FuId, Minterm, OccurrenceProfile, Schedule};
 use lockbind_obs as obs;
@@ -81,6 +84,22 @@ fn validate(
     Ok(())
 }
 
+/// The release-mode cross-check of a search's winner: its incremental
+/// score must equal the realized Eqn. 2 errors of the cold re-bind. One
+/// comparison per search, so a scoring fault surfaces as an error in every
+/// build instead of a silently wrong winner.
+fn check_winner(stage: &'static str, sweep: u64, realized: u64) -> Result<(), CoreError> {
+    if sweep == realized {
+        Ok(())
+    } else {
+        Err(CoreError::ScoreMismatch {
+            stage,
+            sweep,
+            realized,
+        })
+    }
+}
+
 /// Exhaustive optimal co-design: evaluates obfuscation-aware binding for
 /// every combination assignment of candidate locked inputs to locked FUs and
 /// returns the best (Sec. V-B claims this maximizes Eqn. 2 exactly).
@@ -90,7 +109,9 @@ fn validate(
 /// Everything [`bind_obfuscation_aware`] can return, plus
 /// [`CoreError::NotEnoughCandidates`] and, when the search would exceed
 /// ~3M binding evaluations, [`CoreError::SearchSpaceTooLarge`] (use
-/// [`codesign_heuristic`] instead).
+/// [`codesign_heuristic`] instead). [`CoreError::ScoreMismatch`] when the
+/// incremental score of the winner disagrees with its cold re-bind (a
+/// scoring fault).
 pub fn codesign_optimal(
     dfg: &Dfg,
     schedule: &Schedule,
@@ -221,7 +242,7 @@ pub fn codesign_optimal_cancellable(
     }
 
     // Re-solve the winner cold: reproduces the legacy binding byte-exactly
-    // and double-checks the sweep's score against realized Eqn. 2 errors.
+    // and checks the sweep's score against realized Eqn. 2 errors.
     let (sweep_errors, _, digits) = best.expect("at least one combination evaluated");
     let entries: Vec<(FuId, Vec<Minterm>)> = locked_fus
         .iter()
@@ -231,10 +252,7 @@ pub fn codesign_optimal_cancellable(
     let spec = LockingSpec::new(alloc, entries)?;
     let binding = bind_obfuscation_aware(dfg, schedule, alloc, profile, &spec)?;
     let errors = expected_application_errors(&binding, profile, &spec);
-    debug_assert_eq!(
-        errors, sweep_errors,
-        "incremental sweep score must equal realized Eqn. 2 errors"
-    );
+    check_winner("codesign.optimal", sweep_errors, errors)?;
     Ok(CoDesignOutcome {
         binding,
         spec,
@@ -346,11 +364,8 @@ pub fn codesign_heuristic_cancellable(
     let spec = LockingSpec::new(alloc, entries)?;
     let binding = bind_obfuscation_aware(dfg, schedule, alloc, profile, &spec)?;
     let errors = expected_application_errors(&binding, profile, &spec);
-    debug_assert_eq!(
-        errors,
-        if locked_fus.is_empty() { 0 } else { stage_best },
-        "final-stage sweep score must equal realized Eqn. 2 errors"
-    );
+    let sweep_errors = if locked_fus.is_empty() { 0 } else { stage_best };
+    check_winner("codesign.heuristic", sweep_errors, errors)?;
     Ok(CoDesignOutcome {
         binding,
         spec,
@@ -413,6 +428,24 @@ mod tests {
             CoreError::Interrupted {
                 stage: "codesign.heuristic"
             }
+        );
+    }
+
+    #[test]
+    fn winner_cross_check_reports_a_score_mismatch() {
+        assert_eq!(check_winner("codesign.optimal", 17, 17), Ok(()));
+        let err = check_winner("codesign.heuristic", 16, 17).unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::ScoreMismatch {
+                stage: "codesign.heuristic",
+                sweep: 16,
+                realized: 17
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "codesign.heuristic scored its winner at 16 errors but the cold re-bind realizes 17"
         );
     }
 
@@ -527,24 +560,6 @@ mod tests {
             assert_eq!(fast.spec, slow.spec, "{kernel:?}");
             assert_eq!(fast.binding, slow.binding, "{kernel:?}");
         }
-    }
-
-    #[test]
-    fn search_prunes_and_accounts_for_every_configuration() {
-        let (dfg, sched, alloc, profile, candidates) = setup(Kernel::Jdmerge1);
-        let fus = [FuId::new(FuClass::Adder, 0), FuId::new(FuClass::Adder, 1)];
-        let evaluated = obs::counter!("codesign.combos_evaluated");
-        let pruned = obs::counter!("codesign.combos_pruned");
-        let (e0, p0) = (evaluated.get(), pruned.get());
-        codesign_optimal(&dfg, &sched, &alloc, &profile, &fus, 2, &candidates).expect("searchable");
-        let combos = combinations(candidates.len(), 2).len() as u64;
-        let visited = (evaluated.get() - e0) + (pruned.get() - p0);
-        assert_eq!(
-            visited,
-            combos * combos,
-            "evaluated + pruned must cover the full search product"
-        );
-        assert!(pruned.get() > p0, "dual bounds should prune something");
     }
 
     #[test]

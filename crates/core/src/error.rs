@@ -56,6 +56,17 @@ pub enum CoreError {
         /// Requested target.
         target: u64,
     },
+    /// A co-design search's incremental score of its winner disagrees with
+    /// the Eqn. 2 errors the winner's cold re-bind realizes — a fault in
+    /// the search's scoring, never a property of the input.
+    ScoreMismatch {
+        /// Which search scored the winner.
+        stage: &'static str,
+        /// The incremental sweep's score.
+        sweep: u64,
+        /// The realized Eqn. 2 errors of the cold re-bind.
+        realized: u64,
+    },
     /// A cancellable search observed its cancel token mid-enumeration
     /// (deadline or explicit cancel) and unwound without an answer.
     Interrupted {
@@ -91,6 +102,14 @@ impl fmt::Display for CoreError {
             CoreError::ErrorTargetUnreachable { best, target } => write!(
                 f,
                 "application-error target {target} unreachable (best achievable {best})"
+            ),
+            CoreError::ScoreMismatch {
+                stage,
+                sweep,
+                realized,
+            } => write!(
+                f,
+                "{stage} scored its winner at {sweep} errors but the cold re-bind realizes {realized}"
             ),
             CoreError::Interrupted { stage } => {
                 write!(f, "interrupted during {stage} (cancel token fired)")
